@@ -46,6 +46,17 @@ import (
 	"repro/internal/server"
 )
 
+// Connection timeouts. A client that never finishes its request
+// headers, or an idle keep-alive connection, is dropped instead of
+// holding a goroutine and a socket forever. There is deliberately no
+// WriteTimeout: a ?wait=1 submission holds its response open for the
+// whole job and the SSE progress stream lives as long as the job, so
+// any fixed write deadline would cut off legitimate long jobs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	queue := flag.Int("queue", 16, "job queue depth (admitted but not yet running)")
@@ -84,7 +95,12 @@ func main() {
 	})
 	srv.Start()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() {
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {

@@ -169,9 +169,12 @@ func RunCellSpansContext(ctx context.Context, opt SweepOptions, spans []CellSpan
 	// In-order streaming: when cell k lands, flush every consecutive
 	// finished record from the emit cursor. The OnCell progress hook
 	// rides the same cursor, so it too observes cells in grid order.
+	// The first emit error is sticky: a worker finishing its in-flight
+	// cell afterwards must not emit the failed record again.
 	var (
 		emitMu   sync.Mutex
 		emitNext int
+		emitErr  error
 		done     []bool
 	)
 	if emit != nil || opt.OnCell != nil {
@@ -209,12 +212,16 @@ func RunCellSpansContext(ctx context.Context, opt SweepOptions, spans []CellSpan
 		}
 		emitMu.Lock()
 		defer emitMu.Unlock()
+		if emitErr != nil {
+			return emitErr
+		}
 		done[idx] = true
 		for emitNext < total && done[emitNext] {
 			r := &recs[emitNext]
 			if emit != nil {
 				if err := emit(*r); err != nil {
-					return fmt.Errorf("emitting cell %d: %w", cellOf[emitNext], err)
+					emitErr = fmt.Errorf("emitting cell %d: %w", cellOf[emitNext], err)
+					return emitErr
 				}
 			}
 			if opt.OnCell != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -112,6 +113,72 @@ func TestRunCellsSpansAssembleToSweep(t *testing.T) {
 		if encode(t, got) != wantEnc {
 			t.Errorf("partition %v reassembles differently from Sweep", cuts)
 		}
+	}
+}
+
+// gatedBackend is the simulator with cells past k held until open is
+// closed; each of those cells is reported on ran once it has run.
+type gatedBackend struct {
+	SimBackend
+	base int64 // SweepOptions.BaseSeed: a cell's seed is base + cell
+	k    int
+	open chan struct{}
+	ran  chan int
+}
+
+func (b gatedBackend) NewWorker(opt *SweepOptions) (BackendWorker, error) {
+	w, err := b.SimBackend.NewWorker(opt)
+	return gatedWorker{w, b}, err
+}
+
+type gatedWorker struct {
+	BackendWorker
+	b gatedBackend
+}
+
+func (w gatedWorker) RunCell(ctx context.Context, in CellInput) (CellOutcome, error) {
+	cell := int(in.Seed - w.b.base)
+	if cell <= w.b.k {
+		return w.BackendWorker.RunCell(ctx, in)
+	}
+	select {
+	case <-w.b.open:
+	case <-ctx.Done():
+		return CellOutcome{}, ctx.Err()
+	}
+	out, err := w.BackendWorker.RunCell(ctx, in)
+	w.b.ran <- cell
+	return out, err
+}
+
+// TestEmitErrorIsSticky: once emit fails on cell k, no worker may emit
+// again — neither k a second time nor any later cell — even though
+// other workers finish their in-flight cells after the failure. The
+// failing emit returns only after another worker has run a later cell,
+// so that worker is on its way to the emit cursor when it does.
+func TestEmitErrorIsSticky(t *testing.T) {
+	const k = 5
+	opt := gridOptions(4, 4) // 16 cells over 4 workers
+	gate := gatedBackend{base: opt.BaseSeed, k: k, open: make(chan struct{}), ran: make(chan int, opt.NumCells())}
+	opt.Backend = gate
+	var calls []int // emit is serialized by the streaming cursor's lock
+	_, err := RunCellsContext(context.Background(), opt, 0, opt.NumCells(), func(rec CellRecord) error {
+		calls = append(calls, rec.Cell)
+		if rec.Cell < k {
+			return nil
+		}
+		if len(calls) == k+1 {
+			close(gate.open)
+			<-gate.ran
+		}
+		return errors.New("sink closed")
+	})
+	if err == nil || !strings.Contains(err.Error(), "sink closed") {
+		t.Fatalf("err = %v, want the emit failure", err)
+	}
+	want := []int{0, 1, 2, 3, 4, k}
+	if fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Fatalf("emit calls %v, want %v", calls, want)
 	}
 }
 

@@ -9,21 +9,19 @@
 // trace, the reachability analyzer proves it over all possible
 // behaviours — the paper contrasts exactly these two modes.
 //
-// The untimed construction is a sharded-frontier parallel BFS with a
-// canonical numbering contract: node ids, edge order, markings and
-// truncation flags are bit-identical to the serial FIFO build
-// (BuildSerial, kept as the test oracle) for every shard count.
-// Markings live in a compact delta-encoded store (see store.go)
-// instead of one []int plus an interning string per node.
+// Build and BuildTimed are two state spaces on one sharded-frontier
+// parallel BFS (explore, frontier.go) with a canonical numbering
+// contract: node ids, edge order, states and truncation flags are
+// bit-identical to a serial FIFO build for every shard count. The
+// serial builds are test oracles (oracle_test.go). Untimed markings
+// live in a compact delta-encoded StateStore (see store.go).
 package reach
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/petri"
 )
@@ -178,245 +176,45 @@ func (g *Graph) Close() error {
 // their state includes program variables, which the graph cannot
 // enumerate faithfully.
 //
-// The search is a level-synchronized parallel BFS: each frontier level
-// is expanded by opt.Shards goroutines, successor markings are
-// deduplicated in per-shard hash maps, and new nodes are then
-// committed sequentially in the exact (node, transition) order the
-// serial FIFO build visits them — so the result is bit-identical to
-// BuildSerial for any shard count. Construction stops the moment a
-// new state would exceed MaxStates (Truncated is set and the graph
-// holds exactly MaxStates nodes).
+// The search is the sharded frontier of explore over opt.Shards
+// goroutines, so node ids, edge order, markings and flags are
+// bit-identical to a serial FIFO build for any shard count.
+// Construction stops the moment a new state would exceed MaxStates
+// (Truncated is set and the graph holds exactly MaxStates nodes).
 //
 // ctx is checked at every level barrier (and the spill store's I/O
 // errors surface there too); on cancellation the partial graph is
 // discarded, its store closed, and ctx.Err() returned.
 func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
-	opt.defaults()
-	if net.Interpreted() {
-		return nil, fmt.Errorf("reach: net %q is interpreted (predicates/actions); reachability requires a plain net", net.Name)
-	}
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-
-	store, err := newStateStore(opt, net.NumPlaces())
+	sp, err := newGraphSpace(net, opt)
 	if err != nil {
 		return nil, err
 	}
-	g := &Graph{Net: net, store: store}
-	done := false
-	defer func() {
-		if !done {
-			g.Close()
-		}
-	}()
-	m0 := net.InitialMarking()
-	g.Nodes = append(g.Nodes, Node{ID: 0})
-	g.store.Add(m0)
-
-	// Per-shard dedup: a marking is owned by shard hash%shards; the
-	// map holds the committed node ids carrying that hash (collisions
-	// resolved by comparing against the store).
-	seen := make([]map[uint64][]int32, shards)
-	for i := range seen {
-		seen[i] = make(map[uint64][]int32)
-	}
-	h0 := hashMarking(m0)
-	seen[h0%uint64(shards)][h0] = append(seen[h0%uint64(shards)][h0], 0)
-
-	// cand is one successor produced during frontier expansion. Its
-	// resolution is filled in by the dedup phase: node >= 0 is a
-	// committed node id; dup >= 0 says "same new marking as the
-	// earlier candidate with that global sequence number"; both -1
-	// means a genuinely new marking.
-	type cand struct {
-		m    petri.Marking
-		hash uint64
-		t    petri.TransID
-		node int32
-		dup  int32
-	}
-
-	var (
-		scratch = make([]petri.Marking, shards) // per-shard store decode buffers
-		errs    = make([]error, shards)
-	)
-	// Frontier levels are contiguous id ranges: [lo, hi) was assigned
-	// last round, in order, exactly like the serial FIFO queue.
-	lo, hi := 0, 1
-	for lo < hi && !g.Truncated {
-		// Level barrier: cancellation and store errors (spill I/O) are
-		// checked here, between rounds, where no goroutine is in flight.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := g.store.Err(); err != nil {
-			return nil, err
-		}
-		// Phase A — expand: decode each frontier marking and fire every
-		// enabled transition, in parallel over contiguous chunks. Only
-		// reads the store (no adds are in flight).
-		perNode := make([][]cand, hi-lo)
-		chunk := (hi - lo + shards - 1) / shards
-		var wg sync.WaitGroup
-		for w := 0; w < shards; w++ {
-			a, b := lo+w*chunk, lo+(w+1)*chunk
-			if a >= hi {
-				break
-			}
-			if b > hi {
-				b = hi
-			}
-			wg.Add(1)
-			go func(w, a, b int) {
-				defer wg.Done()
-				g.store.Span(a, b, func(id int, m petri.Marking) bool {
-					var out []cand
-					for ti := range net.Trans {
-						t := petri.TransID(ti)
-						ok, err := net.Enabled(t, m, nil)
-						if err != nil {
-							errs[w] = err
-							return false
-						}
-						if !ok {
-							continue
-						}
-						next := m.Clone()
-						net.Consume(t, next)
-						net.Produce(t, next)
-						out = append(out, cand{m: next, hash: hashMarking(next), t: t})
-					}
-					perNode[id-lo] = out
-					return true
-				})
-			}(w, a, b)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-
-		// Flatten to the global candidate order — (node asc, transition
-		// asc), the order the serial build visits successors — and
-		// bucket each candidate's sequence number to its owning shard.
-		var flat []cand
-		for _, out := range perNode {
-			flat = append(flat, out...)
-		}
-		byShard := make([][]int32, shards)
-		for seq := range flat {
-			s := flat[seq].hash % uint64(shards)
-			byShard[s] = append(byShard[s], int32(seq))
-		}
-
-		// Phase B — dedup: each shard resolves its candidates against
-		// its committed ids and against earlier candidates of this
-		// round, in global order. Shards touch disjoint maps and
-		// disjoint candidates; the store is again read-only.
-		for w := 0; w < shards; w++ {
-			if len(byShard[w]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var pend map[uint64][]int32 // hash -> seqs of new markings this round
-				for _, seq := range byShard[w] {
-					c := &flat[seq]
-					c.node, c.dup = -1, -1
-					match := false
-					for _, id := range seen[w][c.hash] {
-						var eq bool
-						eq, scratch[w] = g.store.Equal(int(id), c.m, scratch[w])
-						if eq {
-							c.node = id
-							match = true
-							break
-						}
-					}
-					if match {
-						continue
-					}
-					for _, ps := range pend[c.hash] {
-						if flat[ps].m.Equal(c.m) {
-							c.dup = ps
-							match = true
-							break
-						}
-					}
-					if match {
-						continue
-					}
-					if pend == nil {
-						pend = make(map[uint64][]int32)
-					}
-					pend[c.hash] = append(pend[c.hash], int32(seq))
-				}
-			}(w)
-		}
-		wg.Wait()
-
-		// Phase C — commit, sequentially in global candidate order:
-		// bound-cap detection, id assignment, store appends, edges and
-		// truncation all happen exactly as in the serial build.
-		assigned := make([]int32, len(flat))
-		lvlLo := len(g.Nodes)
-		seq := 0
-	commit:
-		for i, out := range perNode {
-			src := lo + i
-			for range out {
-				c := &flat[seq]
-				if g.CapExceeded == "" {
-					for pi, cnt := range c.m {
-						if cnt > opt.BoundCap {
-							g.CapExceeded = net.Places[pi].Name
-							break
-						}
-					}
-				}
-				var nid int32
-				switch {
-				case c.node >= 0:
-					nid = c.node
-				case c.dup >= 0:
-					nid = assigned[c.dup]
-				default:
-					if len(g.Nodes) >= opt.MaxStates {
-						g.Truncated = true
-						break commit
-					}
-					nid = int32(len(g.Nodes))
-					g.Nodes = append(g.Nodes, Node{ID: int(nid)})
-					g.store.Add(c.m)
-					seen[c.hash%uint64(shards)][c.hash] = append(seen[c.hash%uint64(shards)][c.hash], nid)
-				}
-				assigned[seq] = nid
-				g.Nodes[src].Out = append(g.Nodes[src].Out, Edge{Trans: c.t, To: int(nid)})
-				seq++
-			}
-		}
-		lo, hi = lvlLo, len(g.Nodes)
-	}
-	if err := g.store.Err(); err != nil {
-		return nil, err
-	}
-	done = true
-	return g, nil
+	return sp.finish(explore[markingSucc](ctx, sp, sp.root, sp.shards))
 }
 
-// BuildSerial is the plain serial BFS construction — the algorithm
-// Build had before the sharded search, kept as the bit-identity oracle
-// the parallel build is tested against. Markings are interned through
-// Marking.Key() strings; nodes are processed with an index cursor (no
-// queue-head reslicing, so the visited prefix can be collected) and
-// construction stops the moment MaxStates is hit, exactly like Build.
-// ctx is checked every serialCheckEvery nodes.
-func BuildSerial(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
+// markingSucc is one untimed successor: the marking reached by firing
+// t. It holds nothing else (32 bytes) so a frontier candidate stays at
+// 48: every byte added here is paid once per successor of a level.
+type markingSucc struct {
+	m petri.Marking
+	t petri.TransID
+}
+
+// graphSpace is the untimed state space: markings live in the graph's
+// StateStore, and commit flags the bound cap and stops at the first
+// truncation.
+type graphSpace struct {
+	g       *Graph
+	opt     Options
+	shards  int
+	root    markingSucc
+	scratch []petri.Marking // per-shard store decode buffers
+}
+
+// newGraphSpace validates net, opens the store Options select and
+// commits the initial marking as node 0.
+func newGraphSpace(net *petri.Net, opt Options) (*graphSpace, error) {
 	opt.defaults()
 	if net.Interpreted() {
 		return nil, fmt.Errorf("reach: net %q is interpreted (predicates/actions); reachability requires a plain net", net.Name)
@@ -425,35 +223,39 @@ func BuildSerial(ctx context.Context, net *petri.Net, opt Options) (*Graph, erro
 	if err != nil {
 		return nil, err
 	}
-	g := &Graph{Net: net, store: store}
-	done := false
-	defer func() {
-		if !done {
-			g.Close()
-		}
-	}()
-	index := make(map[string]int)
-	m0 := net.InitialMarking()
-	g.Nodes = append(g.Nodes, Node{ID: 0})
-	g.store.Add(m0)
-	index[m0.Key()] = 0
-	var cur petri.Marking
-	for id := 0; id < len(g.Nodes) && !g.Truncated; id++ {
-		if id%serialCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := g.store.Err(); err != nil {
-				return nil, err
-			}
-		}
-		cur = g.store.At(id, cur)
-		m := cur
+	s := &graphSpace{g: &Graph{Net: net, store: store}, opt: opt, shards: opt.shardCount()}
+	s.scratch = make([]petri.Marking, s.shards)
+	s.root = markingSucc{m: net.InitialMarking()}
+	s.g.Nodes = append(s.g.Nodes, Node{ID: 0})
+	store.Add(s.root.m)
+	return s, nil
+}
+
+// finish returns the graph, or closes it and returns the first of err
+// and the store's sticky error.
+func (s *graphSpace) finish(err error) (*Graph, error) {
+	if err == nil {
+		err = s.g.store.Err()
+	}
+	if err != nil {
+		s.g.Close()
+		return nil, err
+	}
+	return s.g, nil
+}
+
+func (s *graphSpace) expand(_, lo, hi int, succ func(int, markingSucc)) error {
+	if err := s.g.store.Err(); err != nil {
+		return err
+	}
+	net := s.g.Net
+	var err error
+	s.g.store.Span(lo, hi, func(id int, m petri.Marking) bool {
 		for ti := range net.Trans {
 			t := petri.TransID(ti)
-			ok, err := net.Enabled(t, m, nil)
-			if err != nil {
-				return nil, err
+			var ok bool
+			if ok, err = net.Enabled(t, m, nil); err != nil {
+				return false
 			}
 			if !ok {
 				continue
@@ -461,34 +263,43 @@ func BuildSerial(ctx context.Context, net *petri.Net, opt Options) (*Graph, erro
 			next := m.Clone()
 			net.Consume(t, next)
 			net.Produce(t, next)
-			if g.CapExceeded == "" {
-				for pi, c := range next {
-					if c > opt.BoundCap {
-						g.CapExceeded = net.Places[pi].Name
-						break
-					}
-				}
+			succ(id, markingSucc{m: next, t: t})
+		}
+		return true
+	})
+	return err
+}
+
+func (s *graphSpace) hash(c *markingSucc) uint64 { return hashMarking(c.m) }
+
+func (s *graphSpace) holds(w int, id int32, c *markingSucc) bool {
+	s.scratch[w] = s.g.store.At(int(id), s.scratch[w])
+	return s.scratch[w].Equal(c.m)
+}
+
+func (s *graphSpace) same(a, b *markingSucc) bool { return a.m.Equal(b.m) }
+
+func (s *graphSpace) commit(src int, c *markingSucc, id int32) (int32, bool) {
+	g := s.g
+	if g.CapExceeded == "" {
+		for pi, cnt := range c.m {
+			if cnt > s.opt.BoundCap {
+				g.CapExceeded = g.Net.Places[pi].Name
+				break
 			}
-			key := next.Key()
-			nid, seen := index[key]
-			if !seen {
-				if len(g.Nodes) >= opt.MaxStates {
-					g.Truncated = true
-					break
-				}
-				nid = len(g.Nodes)
-				g.Nodes = append(g.Nodes, Node{ID: nid})
-				g.store.Add(next)
-				index[key] = nid
-			}
-			g.Nodes[id].Out = append(g.Nodes[id].Out, Edge{Trans: t, To: nid})
 		}
 	}
-	if err := g.store.Err(); err != nil {
-		return nil, err
+	if id < 0 {
+		if len(g.Nodes) >= s.opt.MaxStates {
+			g.Truncated = true
+			return -1, true
+		}
+		id = int32(len(g.Nodes))
+		g.Nodes = append(g.Nodes, Node{ID: int(id)})
+		g.store.Add(c.m)
 	}
-	done = true
-	return g, nil
+	g.Nodes[src].Out = append(g.Nodes[src].Out, Edge{Trans: c.t, To: int(id)})
+	return id, false
 }
 
 // serialCheckEvery is how often (in processed nodes) the serial

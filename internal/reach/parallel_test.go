@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/modelgen"
 	"repro/internal/petri"
+	"repro/internal/pipeline"
 )
 
 // graphsIdentical asserts bit-identity between two graphs: same nodes,
@@ -58,25 +59,40 @@ func unboundedBranchNet() *petri.Net {
 	return b.MustBuild()
 }
 
-// TestParallelBuildMatchesSerial is the canonical-numbering property
-// test: for every shard count the parallel Build must reproduce the
-// serial oracle bit for bit — node ids, edge order, store bytes and
-// flags — across the modelgen families and the hand-written nets.
-func TestParallelBuildMatchesSerial(t *testing.T) {
-	cases := []struct {
-		name string
-		net  *petri.Net
-		opt  Options
-	}{
+// buildCase is one net and option set of the oracle property tests.
+type buildCase struct {
+	name string
+	net  *petri.Net
+	opt  Options
+}
+
+// untimedTestNets are the Build cases: the hand-written nets, the
+// modelgen families and the paper's cached processor (the model the
+// exact_analysis benchmark explores), plus truncation and bound-cap
+// runs.
+func untimedTestNets(t *testing.T) []buildCase {
+	cached, err := pipeline.CacheProcessor(pipeline.DefaultParams(), pipeline.DefaultCacheParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []buildCase{
 		{"mutex", mutexNet(t), Options{}},
 		{"pipeline_8x3", modelgen.DeepPipeline(8, 3, 1), Options{}},
 		{"pipeline_12x4", modelgen.DeepPipeline(12, 4, 2), Options{}},
 		{"forkjoin_3x2", modelgen.ForkJoin(3, 2, 1), Options{}},
 		{"forkjoin_4x3", modelgen.ForkJoin(4, 3, 3), Options{}},
+		{"cache_processor", cached, Options{}},
 		{"truncated", unboundedBranchNet(), Options{MaxStates: 500}},
 		{"capped", unboundedBranchNet(), Options{MaxStates: 2000, BoundCap: 16}},
 	}
-	for _, tc := range cases {
+}
+
+// TestParallelBuildMatchesSerial is the canonical-numbering property
+// test: for every shard count the parallel Build must reproduce the
+// serial oracle bit for bit — node ids, edge order, store bytes and
+// flags.
+func TestParallelBuildMatchesSerial(t *testing.T) {
+	for _, tc := range untimedTestNets(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := BuildSerial(context.Background(), tc.net, tc.opt)
 			if err != nil {
@@ -91,6 +107,71 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
 				graphsIdentical(t, want, got)
+			}
+		})
+	}
+}
+
+// collidingSpace gives every candidate the same hash: all states land
+// in one shard and one chain, so every dedup decision goes through the
+// committed-chain (holds) and pending-chain (same) comparisons that
+// 64-bit FNV never exercises on the test nets.
+type collidingSpace[S any] struct{ space[S] }
+
+func (collidingSpace[S]) hash(*S) uint64 { return 0x5eed }
+
+// TestBuildsMatchOraclesWithHashCollisions runs both builders with
+// every hash colliding; the graphs must still match the oracles bit
+// for bit for every shard count. One chain makes dedup quadratic, so
+// each case is capped at collisionMaxStates (the larger nets then also
+// cover truncation under collisions).
+func TestBuildsMatchOraclesWithHashCollisions(t *testing.T) {
+	const collisionMaxStates = 128
+	ctx := context.Background()
+	capped := func(cases []buildCase) []buildCase {
+		for i := range cases {
+			if o := &cases[i].opt; o.MaxStates == 0 || o.MaxStates > collisionMaxStates {
+				o.MaxStates = collisionMaxStates
+			}
+		}
+		return cases
+	}
+	for _, tc := range capped(untimedTestNets(t)) {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := BuildSerial(ctx, tc.net, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{1, 2, 8} {
+				opt := tc.opt
+				opt.Shards = shards
+				sp, err := newGraphSpace(tc.net, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sp.finish(explore[markingSucc](ctx, collidingSpace[markingSucc]{sp}, sp.root, sp.shards))
+				if err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				graphsIdentical(t, want, got)
+			}
+		})
+	}
+	for _, tc := range capped(timedTestNets(t)) {
+		t.Run("timed_"+tc.name, func(t *testing.T) {
+			want, err := BuildTimedSerial(ctx, tc.net, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{1, 2, 8} {
+				sp, err := newTimedSpace(tc.net, tc.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := explore[timedSucc](ctx, collidingSpace[timedSucc]{sp}, sp.root, shards); err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				timedGraphsIdentical(t, want, sp.g)
 			}
 		})
 	}
@@ -128,10 +209,10 @@ func TestTruncationNeverExceedsMaxStates(t *testing.T) {
 	}
 }
 
-// TestBuildMatchesSerialWithHashCollisions forces every marking into
-// one dedup bucket (and one shard) by stubbing nothing — instead it
-// runs a net large enough that 64-bit FNV buckets see real chains, and
-// double-checks MarkingOf round-trips through the store.
+// TestStoreRoundTripThroughGraph checks, on a sharded build, that no
+// marking is committed twice and that MarkingOf and EachMarking agree
+// at every id. Forced hash collisions are covered by
+// TestBuildsMatchOraclesWithHashCollisions.
 func TestStoreRoundTripThroughGraph(t *testing.T) {
 	net := modelgen.DeepPipeline(9, 3, 7)
 	g, err := Build(context.Background(), net, Options{Shards: 3})

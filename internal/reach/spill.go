@@ -258,14 +258,6 @@ func (s *SpillStore) At(id int, dst petri.Marking) petri.Marking {
 	return dst
 }
 
-// Equal reports whether the stored marking id equals m, using scratch
-// as the decode buffer; it returns the (possibly grown) scratch for
-// reuse.
-func (s *SpillStore) Equal(id int, m petri.Marking, scratch petri.Marking) (bool, petri.Marking) {
-	scratch = s.At(id, scratch)
-	return scratch.Equal(m), scratch
-}
-
 // Span calls fn for each id in [lo, hi) in order, streaming whole
 // blocks sequentially — this is the frontier-expansion read path, so a
 // spilled graph is walked with one block fetch per spillBlockEntries

@@ -13,7 +13,7 @@
 // spill to a temp file past a byte budget, so MaxStates can exceed RAM.
 //
 // Concurrency: Add must be single-threaded and must not overlap any
-// read; reads (At, Equal, Span) are safe concurrently with each other.
+// read; reads (At, Span) are safe concurrently with each other.
 // The parallel builder respects this by construction — markings are
 // only appended in the sequential commit phase of a round, and only
 // read during the parallel expand/dedup phases.
@@ -39,10 +39,6 @@ type StateStore interface {
 	// At decodes the marking with the given id into dst (grown if
 	// needed) and returns it.
 	At(id int, dst petri.Marking) petri.Marking
-	// Equal reports whether the stored marking id equals m, using
-	// scratch as the decode buffer; it returns the (possibly grown)
-	// scratch for reuse.
-	Equal(id int, m petri.Marking, scratch petri.Marking) (bool, petri.Marking)
 	// Span calls fn for each id in [lo, hi) in order, with a decode
 	// buffer that is reused between calls — fn must not retain m.
 	// Returning false stops the iteration.
@@ -145,14 +141,6 @@ func (s *MemStore) At(id int, dst petri.Marking) petri.Marking {
 	return dst
 }
 
-// Equal reports whether the stored marking id equals m, using scratch
-// as the decode buffer; it returns the (possibly grown) scratch for
-// reuse.
-func (s *MemStore) Equal(id int, m petri.Marking, scratch petri.Marking) (bool, petri.Marking) {
-	scratch = s.At(id, scratch)
-	return scratch.Equal(m), scratch
-}
-
 // Span calls fn for each id in [lo, hi) in order, with a decode buffer
 // that is reused between calls — fn must not retain m. Returning false
 // stops the iteration.
@@ -188,15 +176,20 @@ func (s *MemStore) Span(lo, hi int, fn func(id int, m petri.Marking) bool) {
 func hashMarking(m petri.Marking) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range m {
-		v := uint64(c)
-		for v >= 0x80 {
-			h ^= v&0x7f | 0x80
-			h *= fnvPrime64
-			v >>= 7
-		}
-		h ^= v
-		h *= fnvPrime64
+		h = fnvVarint(h, uint64(c))
 	}
+	return h
+}
+
+// fnvVarint folds the varint encoding of v into the FNV-1a hash h.
+func fnvVarint(h, v uint64) uint64 {
+	for v >= 0x80 {
+		h ^= v&0x7f | 0x80
+		h *= fnvPrime64
+		v >>= 7
+	}
+	h ^= v
+	h *= fnvPrime64
 	return h
 }
 
@@ -204,14 +197,3 @@ const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
-
-// hashString is FNV-1a over a string — the shard key of the timed
-// build, whose dedup is keyed by TimedNode.key() strings.
-func hashString(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}

@@ -61,22 +61,6 @@ func TestMarkingStoreRoundTrip(t *testing.T) {
 			t.Fatalf("span %v stopped at %d", span, next)
 		}
 	}
-	// equal: positive and negative.
-	var scratch petri.Marking
-	for i := 0; i < 50; i++ {
-		id := r.Intn(n)
-		var eq bool
-		eq, scratch = s.Equal(id, ref[id], scratch)
-		if !eq {
-			t.Fatalf("equal(%d, ref[%d]) = false", id, id)
-		}
-		other := ref[id].Clone()
-		other[r.Intn(places)] += 1
-		eq, scratch = s.Equal(id, other, scratch)
-		if eq {
-			t.Fatalf("equal(%d, mutated) = true", id)
-		}
-	}
 }
 
 // TestHashMarkingDistinguishes sanity-checks the dedup hash: equal

@@ -3,10 +3,8 @@ package reach
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
-	"strings"
-	"sync"
 
 	"repro/internal/petri"
 )
@@ -56,20 +54,6 @@ func (n *TimedNode) Ripe() bool {
 	return false
 }
 
-func (n *TimedNode) key() string {
-	var b strings.Builder
-	b.WriteString(n.Marking.Key())
-	b.WriteByte('|')
-	for _, p := range n.Pending {
-		fmt.Fprintf(&b, "%d:%d,", p.Trans, p.Left)
-	}
-	b.WriteByte('|')
-	for _, e := range n.Enab {
-		fmt.Fprintf(&b, "%d:%d,", e.Trans, e.Left)
-	}
-	return b.String()
-}
-
 // TimedGraph is the timed reachability graph of a net whose delays are
 // all constant.
 type TimedGraph struct {
@@ -80,10 +64,7 @@ type TimedGraph struct {
 
 // constDelay extracts a constant delay, rejecting distributions.
 func constDelay(d petri.Delay, kind, trans string) (petri.Time, error) {
-	if d == nil {
-		return 0, nil
-	}
-	v, ok := d.Const()
+	v, ok := constOf(d)
 	if !ok {
 		return 0, fmt.Errorf("reach: %s time of %q is not constant; the timed graph requires deterministic delays", kind, trans)
 	}
@@ -123,242 +104,104 @@ func timedRoot(net *petri.Net) (*TimedNode, error) {
 // transitions never fire). Nets with non-constant delays, predicates or
 // actions are rejected.
 //
-// Like Build, the search is a level-synchronized parallel BFS over
-// opt.Shards goroutines: successor states are expanded in parallel,
-// deduplicated in per-shard key maps, and committed sequentially in
-// the exact (node, successor) order the serial FIFO construction
-// visits them, so the graph is bit-identical to BuildTimedSerial for
-// any shard count — including after truncation, where both keep
-// draining the frontier to add edges between already-interned states.
-// ctx is checked at every level barrier.
+// Like Build, the search is the sharded frontier of explore over
+// opt.Shards goroutines, so the graph is bit-identical to a serial FIFO
+// construction for any shard count — including after truncation: past
+// MaxStates no state is added, but the drain continues and later
+// levels still attach edges between committed states. ctx is checked
+// at every level barrier.
 func BuildTimed(ctx context.Context, net *petri.Net, opt Options) (*TimedGraph, error) {
+	sp, err := newTimedSpace(net, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := explore[timedSucc](ctx, sp, sp.root, opt.shardCount()); err != nil {
+		return nil, err
+	}
+	return sp.g, nil
+}
+
+// timedSpace is the timed state space: whole *TimedNode states, deduped
+// by hashTimed and sameState; commit drops states past MaxStates but
+// never stops the drain.
+type timedSpace struct {
+	g    *TimedGraph
+	max  int
+	root timedSucc
+}
+
+// newTimedSpace validates net and commits the initial state as node 0.
+func newTimedSpace(net *petri.Net, opt Options) (*timedSpace, error) {
 	opt.defaults()
 	if err := timedValidate(net); err != nil {
 		return nil, err
 	}
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	g := &TimedGraph{Net: net}
 	root, err := timedRoot(net)
 	if err != nil {
 		return nil, err
 	}
-	root.ID = 0
-	g.Nodes = append(g.Nodes, root)
-
-	// Per-shard dedup, keyed by the full state key. A state is owned by
-	// shard hash(key)%shards.
-	seen := make([]map[string]int32, shards)
-	for i := range seen {
-		seen[i] = make(map[string]int32)
-	}
-	k0 := root.key()
-	seen[hashString(k0)%uint64(shards)][k0] = 0
-
-	// cand is one successor produced during frontier expansion; id/dup
-	// are the dedup resolution, as in the untimed build.
-	type cand struct {
-		node  *TimedNode
-		key   string
-		hash  uint64
-		label petri.TransID
-		delta petri.Time
-		id    int32
-		dup   int32
-	}
-
-	errs := make([]error, shards)
-	lo, hi := 0, 1
-	for lo < hi {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Phase A — expand each frontier node in parallel. The node
-		// slice is read-only here; edges are attached in Phase C.
-		perNode := make([][]cand, hi-lo)
-		chunk := (hi - lo + shards - 1) / shards
-		var wg sync.WaitGroup
-		for w := 0; w < shards; w++ {
-			a, b := lo+w*chunk, lo+(w+1)*chunk
-			if a >= hi {
-				break
-			}
-			if b > hi {
-				b = hi
-			}
-			wg.Add(1)
-			go func(w, a, b int) {
-				defer wg.Done()
-				for id := a; id < b; id++ {
-					succs, err := timedSuccessors(net, g.Nodes[id])
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					out := make([]cand, len(succs))
-					for i, s := range succs {
-						k := s.node.key()
-						out[i] = cand{node: s.node, key: k, hash: hashString(k), label: s.label, delta: s.delta}
-					}
-					perNode[id-lo] = out
-				}
-			}(w, a, b)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-
-		// Flatten to the global candidate order — (node asc, successor
-		// asc), the order the serial construction interns states in.
-		var flat []cand
-		for _, out := range perNode {
-			flat = append(flat, out...)
-		}
-		byShard := make([][]int32, shards)
-		for seq := range flat {
-			s := flat[seq].hash % uint64(shards)
-			byShard[s] = append(byShard[s], int32(seq))
-		}
-
-		// Phase B — dedup against committed states and earlier
-		// candidates of this round, per shard, in global order.
-		for w := 0; w < shards; w++ {
-			if len(byShard[w]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var pend map[string]int32
-				for _, seq := range byShard[w] {
-					c := &flat[seq]
-					c.id, c.dup = -1, -1
-					if id, ok := seen[w][c.key]; ok {
-						c.id = id
-						continue
-					}
-					if ps, ok := pend[c.key]; ok {
-						c.dup = ps
-						continue
-					}
-					if pend == nil {
-						pend = make(map[string]int32)
-					}
-					pend[c.key] = int32(seq)
-				}
-			}(w)
-		}
-		wg.Wait()
-
-		// Phase C — commit sequentially in global candidate order. Past
-		// MaxStates no state is interned (Truncated is set, the
-		// candidate resolves to -1 and adds no edge) but the drain
-		// continues: later levels still attach edges between committed
-		// states, exactly like the serial FIFO queue does.
-		assigned := make([]int32, len(flat))
-		lvlLo := len(g.Nodes)
-		seq := 0
-		for i, out := range perNode {
-			src := lo + i
-			for range out {
-				c := &flat[seq]
-				var nid int32
-				switch {
-				case c.id >= 0:
-					nid = c.id
-				case c.dup >= 0:
-					nid = assigned[c.dup]
-				default:
-					if len(g.Nodes) >= opt.MaxStates {
-						g.Truncated = true
-						nid = -1
-					} else {
-						nid = int32(len(g.Nodes))
-						c.node.ID = int(nid)
-						g.Nodes = append(g.Nodes, c.node)
-						seen[c.hash%uint64(shards)][c.key] = nid
-					}
-				}
-				assigned[seq] = nid
-				if nid >= 0 {
-					g.Nodes[src].Out = append(g.Nodes[src].Out, TimedEdge{Trans: c.label, Delta: c.delta, To: int(nid)})
-				}
-				seq++
-			}
-		}
-		lo, hi = lvlLo, len(g.Nodes)
-	}
-	return g, nil
+	g := &TimedGraph{Net: net, Nodes: []*TimedNode{root}}
+	return &timedSpace{g: g, max: opt.MaxStates, root: timedSucc{node: root}}, nil
 }
 
-// BuildTimedSerial is the plain serial FIFO construction — the
-// algorithm BuildTimed had before the sharded search, kept as the
-// bit-identity oracle the parallel build is tested against. ctx is
-// checked every serialCheckEvery processed nodes.
-func BuildTimedSerial(ctx context.Context, net *petri.Net, opt Options) (*TimedGraph, error) {
-	opt.defaults()
-	if err := timedValidate(net); err != nil {
-		return nil, err
-	}
-	g := &TimedGraph{Net: net}
-	index := make(map[string]int)
-
-	intern := func(n *TimedNode) (int, bool) {
-		k := n.key()
-		if id, ok := index[k]; ok {
-			return id, false
+func (s *timedSpace) expand(_, lo, hi int, succ func(int, timedSucc)) error {
+	for id := lo; id < hi; id++ {
+		succs, err := timedSuccessors(s.g.Net, s.g.Nodes[id])
+		if err != nil {
+			return err
 		}
-		if len(g.Nodes) >= opt.MaxStates {
+		for _, c := range succs {
+			succ(id, c)
+		}
+	}
+	return nil
+}
+
+func (s *timedSpace) hash(c *timedSucc) uint64 { return hashTimed(c.node) }
+
+func (s *timedSpace) holds(_ int, id int32, c *timedSucc) bool {
+	return sameState(s.g.Nodes[id], c.node)
+}
+
+func (s *timedSpace) same(a, b *timedSucc) bool { return sameState(a.node, b.node) }
+
+func (s *timedSpace) commit(src int, c *timedSucc, id int32) (int32, bool) {
+	g := s.g
+	if id < 0 {
+		if len(g.Nodes) >= s.max {
 			g.Truncated = true
 			return -1, false
 		}
-		n.ID = len(g.Nodes)
-		index[k] = n.ID
-		g.Nodes = append(g.Nodes, n)
-		return n.ID, true
+		id = int32(len(g.Nodes))
+		c.node.ID = int(id)
+		g.Nodes = append(g.Nodes, c.node)
 	}
-
-	root, err := timedRoot(net)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := intern(root); !ok && len(g.Nodes) == 0 {
-		return nil, fmt.Errorf("reach: could not intern initial state")
-	}
-	processed := 0
-	for work := []int{0}; len(work) > 0; {
-		if processed%serialCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		processed++
-		id := work[0]
-		work = work[1:]
-		node := g.Nodes[id]
-		succs, err := timedSuccessors(net, node)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range succs {
-			nid, fresh := intern(s.node)
-			if nid < 0 {
-				continue
-			}
-			node.Out = append(node.Out, TimedEdge{Trans: s.label, Delta: s.delta, To: nid})
-			if fresh {
-				work = append(work, nid)
-			}
-		}
-	}
-	return g, nil
+	g.Nodes[src].Out = append(g.Nodes[src].Out, TimedEdge{Trans: c.label, Delta: c.delta, To: int(id)})
+	return id, false
 }
 
+// hashTimed is the dedup hash of a timed state: hashMarking extended
+// over the pending and enabling timers (the pending count delimits the
+// two lists).
+func hashTimed(n *TimedNode) uint64 {
+	h := fnvVarint(hashMarking(n.Marking), uint64(len(n.Pending)))
+	for _, r := range n.Pending {
+		h = fnvVarint(fnvVarint(h, uint64(r.Trans)), uint64(r.Left))
+	}
+	for _, r := range n.Enab {
+		h = fnvVarint(fnvVarint(h, uint64(r.Trans)), uint64(r.Left))
+	}
+	return h
+}
+
+// sameState reports whether two timed nodes are the same state: equal
+// markings and equal pending and enabling timer lists.
+func sameState(a, b *TimedNode) bool {
+	return a.Marking.Equal(b.Marking) && slices.Equal(a.Pending, b.Pending) && slices.Equal(a.Enab, b.Enab)
+}
+
+// timedSucc is one timed successor and its edge label. delta rides
+// here, not in the frontier's cand, so untimed candidates stay small.
 type timedSucc struct {
 	node  *TimedNode
 	label petri.TransID
@@ -401,11 +244,7 @@ func refreshEnab(net *petri.Net, n *TimedNode, prev []Remaining, restart ...petr
 		}
 		left, had := old[t]
 		if !had || forceRestart[t] {
-			if tr.Enabling != nil {
-				left, _ = tr.Enabling.Const()
-			} else {
-				left = 0
-			}
+			left, _ = constOf(tr.Enabling)
 		}
 		n.Enab = append(n.Enab, Remaining{Trans: t, Left: left})
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/petri"
+	"repro/internal/pipeline"
 )
 
 // timedGraphsIdentical asserts bit-identity between two timed graphs:
@@ -22,8 +23,8 @@ func timedGraphsIdentical(t *testing.T, want, got *TimedGraph) {
 		if w.ID != g.ID || !w.Marking.Equal(g.Marking) {
 			t.Fatalf("node %d: id/marking mismatch: %v != %v", i, g.Marking, w.Marking)
 		}
-		if w.key() != g.key() {
-			t.Fatalf("node %d: state key %q != %q", i, g.key(), w.key())
+		if timedKey(w) != timedKey(g) {
+			t.Fatalf("node %d: state key %q != %q", i, timedKey(g), timedKey(w))
 		}
 		if len(w.Out) != len(g.Out) {
 			t.Fatalf("node %d: %d edges, want %d", i, len(g.Out), len(w.Out))
@@ -37,13 +38,20 @@ func timedGraphsIdentical(t *testing.T, want, got *TimedGraph) {
 }
 
 // timedTestNets are hand-built constant-delay nets covering the timed
-// semantics: firing durations, enabling races, server caps, conflict
-// over shared tokens, and (for the truncation case) unbounded growth.
-func timedTestNets(t *testing.T) []struct {
-	name string
-	net  *petri.Net
-	opt  Options
-} {
+// semantics — firing durations, enabling races, server caps, conflict
+// over shared tokens and (for the truncation case) unbounded growth —
+// plus the paper's processor at its default parameters and at one
+// other design point (the models the exact_analysis benchmark solves).
+func timedTestNets(t *testing.T) []buildCase {
+	processor := func(p pipeline.Params) *petri.Net {
+		net, err := pipeline.Processor(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	fast := pipeline.DefaultParams()
+	fast.MemoryCycles, fast.BufferWords, fast.EACyclesPerOperand = 2, 4, 1
 	ring := func() *petri.Net {
 		b := petri.NewBuilder("const_ring")
 		b.Place("pa", 2)
@@ -82,15 +90,13 @@ func timedTestNets(t *testing.T) []struct {
 		b.Trans("grow_b").In("src").Out("src").Out("b").FiringConst(2)
 		return b.MustBuild()
 	}
-	return []struct {
-		name string
-		net  *petri.Net
-		opt  Options
-	}{
+	return []buildCase{
 		{"const_ring", ring(), Options{}},
 		{"enab_race", race(), Options{}},
 		{"single_server", servers(), Options{}},
 		{"untimed_mutex", mutexNet(t), Options{}},
+		{"processor", processor(pipeline.DefaultParams()), Options{}},
+		{"processor_m2_b4", processor(fast), Options{}},
 		{"truncated", grow(), Options{MaxStates: 200}},
 	}
 }
