@@ -554,10 +554,12 @@ func BenchmarkReachability(b *testing.B) {
 }
 
 // BenchmarkAnalytic solves the full pipeline model analytically
-// [RP84]: timed reachability graph -> embedded Markov chain -> exact
-// steady state. Reported: the analytic instruction rate and bus
-// utilization, to be compared with the simulated Figure 5 values (they
-// agree to three decimals; see EXPERIMENTS.md).
+// [RP84]: timed reachability graph (3568 states) -> embedded Markov
+// chain -> exact steady state by sparse GTH state reduction, so an
+// iteration times one BuildTimed plus one direct solve. Reported: the
+// analytic instruction rate and bus utilization, to be compared with
+// the simulated Figure 5 values (they agree to three decimals; see
+// EXPERIMENTS.md).
 func BenchmarkAnalytic(b *testing.B) {
 	net := mustProcessor(b, pipeline.DefaultParams())
 	var bus, issue float64

@@ -57,18 +57,7 @@ func TestStationExact(t *testing.T) {
 // the queue — and with it the timed state space — stays bounded. Every
 // arrival is served: total throughput 0.25, split 3:1 across classes.
 func TestProbabilisticBranching(t *testing.T) {
-	b := petri.NewBuilder("probstation")
-	b.Place("idle", 1)
-	b.Place("queue", 0)
-	b.Place("busy_fast", 0)
-	b.Place("busy_slow", 0)
-	b.Place("src", 1)
-	b.Trans("arrive").In("src").Out("src").Out("queue").EnablingConst(4)
-	b.Trans("begin_fast").In("queue").In("idle").Out("busy_fast").Freq(3)
-	b.Trans("begin_slow").In("queue").In("idle").Out("busy_slow").Freq(1)
-	b.Trans("finish_fast").In("busy_fast").Out("idle").EnablingConst(1)
-	b.Trans("finish_slow").In("busy_slow").Out("idle").EnablingConst(3)
-	net := b.MustBuild()
+	net := probStationNet(t)
 
 	r, err := Evaluate(context.Background(), net, Options{})
 	if err != nil {

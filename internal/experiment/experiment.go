@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,7 +138,9 @@ type cellError struct {
 // dynamic; do is called with the claiming worker's index so callers can
 // keep worker-confined state (engines, scratch buffers) in a slice
 // indexed by worker. The first cell error stops the pool and is
-// returned together with its cell index. Cancelling ctx stops the pool
+// returned together with its cell index; a panic in do is recovered
+// and fails its cell the same way, so one bad cell cannot take down a
+// long-lived process. Cancelling ctx stops the pool
 // at the next cell boundary (in-flight cells finish first) and returns
 // ctx's error with cell index -1.
 func runPool(ctx context.Context, workers, cells int, do func(worker, cell int) error) (int, error) {
@@ -165,7 +168,7 @@ func runPool(ctx context.Context, workers, cells int, do func(worker, cell int) 
 				if cell >= cells {
 					return
 				}
-				if err := do(worker, cell); err != nil {
+				if err := runCell(do, worker, cell); err != nil {
 					fail(cell, err)
 					return
 				}
@@ -177,6 +180,18 @@ func runPool(ctx context.Context, workers, cells int, do func(worker, cell int) 
 		return firstE.cell, firstE.err
 	}
 	return 0, nil
+}
+
+// runCell calls do for one cell, turning a panic into the cell's error
+// with the panicking goroutine's stack. The deferred closure is
+// open-coded, so the happy path allocates nothing.
+func runCell(do func(worker, cell int) error, worker, cell int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return do(worker, cell)
 }
 
 // Run executes opt.Reps independent replications of net across a

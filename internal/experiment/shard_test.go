@@ -383,3 +383,57 @@ func TestRunCellsBadSpan(t *testing.T) {
 		}
 	}
 }
+
+// panicBackend is the simulator with cell k's RunCell panicking, as a
+// backend bug on an unforeseen input would.
+type panicBackend struct {
+	SimBackend
+	base int64 // SweepOptions.BaseSeed: a cell's seed is base + cell
+	k    int
+}
+
+func (b panicBackend) NewWorker(opt *SweepOptions) (BackendWorker, error) {
+	w, err := b.SimBackend.NewWorker(opt)
+	return panicWorker{w, b}, err
+}
+
+type panicWorker struct {
+	BackendWorker
+	b panicBackend
+}
+
+func (w panicWorker) RunCell(ctx context.Context, in CellInput) (CellOutcome, error) {
+	if int(in.Seed-w.b.base) == w.b.k {
+		panic("backend bug")
+	}
+	return w.BackendWorker.RunCell(ctx, in)
+}
+
+// TestCellPanicFailsOnlyTheSweep: a panicking cell fails the sweep with
+// an error naming the cell and carrying the panic's stack, and the
+// process survives to report it.
+func TestCellPanicFailsOnlyTheSweep(t *testing.T) {
+	const k = 5 // point 1, replication 1 of a 4-replication grid
+	for _, workers := range []int{1, 4} {
+		opt := gridOptions(4, workers)
+		opt.Backend = panicBackend{base: opt.BaseSeed, k: k}
+		_, err := Sweep(context.Background(), opt)
+		if err == nil {
+			t.Fatalf("workers=%d: sweep with a panicking cell succeeded", workers)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "point 1 (") || !strings.Contains(msg, "replication 1: panic: backend bug") ||
+			!strings.Contains(msg, "panicWorker.RunCell") {
+			t.Errorf("workers=%d: err = %v, want cell %d's panic with its stack", workers, err, k)
+		}
+	}
+}
+
+// TestRunCellAllocatesNothing: the panic guard costs no allocation on
+// a cell that returns normally.
+func TestRunCellAllocatesNothing(t *testing.T) {
+	do := func(worker, cell int) error { return nil }
+	if n := testing.AllocsPerRun(100, func() { _ = runCell(do, 0, 1) }); n != 0 {
+		t.Errorf("runCell allocates %v times per cell", n)
+	}
+}

@@ -129,6 +129,15 @@ func TestGoldenSweepEngines(t *testing.T) {
 	goldenCompare(t, "pnut-sweep-cross.csv", cross)
 }
 
+// TestGoldenAnalyticCLI pins pnut-analytic's report of every place and
+// transition of the paper's pipeline net: the exact steady state of its
+// 3568 timed states.
+func TestGoldenAnalyticCLI(t *testing.T) {
+	bins := buildTools(t, "pnut-analytic")
+	out := mustOutput(t, bins["pnut-analytic"], "-net", testdataPath(t, "pipeline.pn"), "-all")
+	goldenCompare(t, "pnut-analytic-pipeline.txt", out)
+}
+
 // TestGoldenSweepNetVars pins the .pn var-override mode.
 func TestGoldenSweepNetVars(t *testing.T) {
 	bins := buildTools(t, "pnut-sweep")
