@@ -579,57 +579,25 @@ func BenchmarkAnalytic(b *testing.B) {
 }
 
 // BenchmarkReplications runs the Figure 5 experiment as 10 independent
-// replications and reports the 95% confidence half-width of the
-// instruction rate — the statistical rigor layer over the paper's
-// single-run table.
+// replications (a zero-axis sweep, seeds 100..109) and reports the 95%
+// confidence half-width of the instruction rate — the statistical
+// rigor layer over the paper's single-run table.
 func BenchmarkReplications(b *testing.B) {
 	net := mustProcessor(b, pipeline.DefaultParams())
+	opt := experiment.SweepOptions{
+		Reps:     10,
+		BaseSeed: 100,
+		Sim:      sim.Options{Horizon: paperCycles},
+		Metrics:  []experiment.Metric{experiment.Throughput("Issue")},
+		Build:    func(experiment.Point) (*petri.Net, error) { return net, nil },
+	}
 	var sum stats.Summary
 	for i := 0; i < b.N; i++ {
-		var err error
-		sum, err = stats.Replicate(net, sim.Options{Horizon: paperCycles, Seed: 100}, 10,
-			func(s *stats.Stats) (float64, error) { return s.Throughput("Issue") })
-		if err != nil {
-			b.Fatal(err)
-		}
+		sum = mustSweep(b, opt).Points[0].Summaries[0]
 	}
 	b.ReportMetric(sum.Mean, "ipc_mean")
 	b.ReportMetric(sum.CI95, "ipc_ci95")
 }
-
-// experimentBench runs one replicated Figure 5 experiment through the
-// parallel driver and reports completed events per second.
-func experimentBench(b *testing.B, workers int) {
-	net := mustProcessor(b, pipeline.DefaultParams())
-	var events int64
-	var elapsed float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiment.Run(context.Background(), net, experiment.Options{
-			Reps:     16,
-			Workers:  workers,
-			BaseSeed: 1988,
-			Sim:      sim.Options{Horizon: paperCycles},
-			Metrics:  []experiment.Metric{experiment.Throughput("Issue")},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		events = r.Events
-		elapsed = r.Elapsed.Seconds()
-	}
-	b.ReportMetric(float64(events)/elapsed, "events/s")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-}
-
-// BenchmarkExperimentSerial is the baseline: 16 replications of the
-// Figure 5 experiment on a single worker.
-func BenchmarkExperimentSerial(b *testing.B) { experimentBench(b, 1) }
-
-// BenchmarkExperimentParallel fans the same 16 replications out across
-// GOMAXPROCS workers. Identical results (same base seed), wall-clock
-// divided by the core count: compare ns/op against
-// BenchmarkExperimentSerial — at 4+ cores the speedup exceeds 2x.
-func BenchmarkExperimentParallel(b *testing.B) { experimentBench(b, 0) }
 
 // BenchmarkEngineReuse quantifies what the resettable engine saves a
 // replication driver: back-to-back runs on one engine versus a fresh

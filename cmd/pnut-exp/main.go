@@ -1,7 +1,7 @@
 // pnut-exp is the replicated-experiment driver: the production face of
 // the paper's "run many simulation experiments" workflow. It reads a
-// textual Petri net (.pn), runs N independent replications fanned out
-// over a pool of workers (one simulation engine and one statistics
+// textual Petri net (.pn), runs N independent replications as a
+// zero-axis experiment.Sweep (one simulation engine and one statistics
 // accumulator per worker), and reports each requested metric with its
 // 95% confidence interval plus, optionally, the pooled Figure-5 style
 // statistics report.
@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/petri"
 	"repro/internal/ptl"
 	"repro/internal/sweepcli"
 	"repro/internal/trace"
@@ -61,12 +62,13 @@ func main() {
 	metrics := sel.Metrics()
 	so := run.SimOptions()
 	so.Seed = 0 // the driver seeds each replication from BaseSeed
-	opt := experiment.Options{
+	opt := experiment.SweepOptions{
 		Reps:     *reps,
 		Workers:  *parallel,
 		BaseSeed: run.Seed,
 		Sim:      so,
 		Metrics:  metrics,
+		Build:    func(experiment.Point) (*petri.Net, error) { return net, nil },
 	}
 
 	// With -trace-dir every replication also streams its full trace to
@@ -81,7 +83,7 @@ func main() {
 			fatal(err)
 		}
 		h := trace.HeaderOf(net)
-		opt.Observe = func(rep int) trace.Observer {
+		opt.Backend = experiment.SimBackend{Observe: func(rep int) trace.Observer {
 			// Each replication's file is closed on its Final record, so
 			// the open-fd count tracks the worker pool, not -reps.
 			f, err := os.Create(filepath.Join(*traceDir, fmt.Sprintf("rep-%04d.trace", rep)))
@@ -107,13 +109,14 @@ func main() {
 				traceCount.Add(1)
 				return nil
 			})
-		}
+		}}
 	}
 
-	r, err := experiment.Run(context.Background(), net, opt)
+	r, err := experiment.Sweep(context.Background(), opt)
 	if err != nil {
 		fatal(err)
 	}
+	pt := &r.Points[0]
 	if *traceDir != "" {
 		fmt.Fprintf(os.Stderr, "pnut-exp: wrote %d %s traces to %s\n", traceCount.Load(), *traceFormat, *traceDir)
 	}
@@ -121,13 +124,13 @@ func main() {
 	out := bufio.NewWriter(os.Stdout)
 	fmt.Fprintf(out, "experiment %s: %d replications, base seed %d, %d workers\n",
 		net.Name, r.Reps, run.Seed, r.Workers)
-	fmt.Fprintf(out, "simulated %d ticks total, %d events\n", r.Pooled.Duration(), r.Events)
+	fmt.Fprintf(out, "simulated %d ticks total, %d events\n", pt.Pooled.Duration(), r.Events)
 	for i, m := range metrics {
-		fmt.Fprintf(out, "%-32s %s\n", m.Name, r.Summaries[i])
+		fmt.Fprintf(out, "%-32s %s\n", m.Name, pt.Summaries[i])
 	}
 	if *report {
 		fmt.Fprintln(out)
-		if err := r.Pooled.Report(out); err != nil {
+		if err := pt.Pooled.Report(out); err != nil {
 			fatal(err)
 		}
 	}

@@ -6,22 +6,16 @@
 //
 //	pnut-sim -net pipeline.pn -horizon 10000 -seed 1 | pnut-stat
 //
-// With -reps N (N > 1) the tool switches to replication mode: it runs N
-// independent replications seeded -seed, -seed+1, ..., fanned out over
-// -parallel workers, and writes the pooled statistics report instead of
-// a trace. The report is bit-for-bit identical for every -parallel
-// value; see cmd/pnut-exp for the full experiment driver.
+// Replicated experiments (N seeds, pooled statistics, confidence
+// intervals) are cmd/pnut-exp's job.
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"repro/internal/experiment"
 	"repro/internal/ptl"
 	"repro/internal/sim"
 	"repro/internal/sweepcli"
@@ -34,8 +28,6 @@ func main() {
 	run.Register(flag.CommandLine, "random seed (equal seeds give equal traces)")
 	flush := flag.Bool("flush", false, "flush after every record (for live piping)")
 	format := sweepcli.TraceFormat(flag.CommandLine, trace.FormatText)
-	reps := flag.Int("reps", 1, "independent replications; >1 emits a pooled statistics report instead of a trace")
-	parallel := flag.Int("parallel", 0, "worker goroutines for -reps mode (0 = GOMAXPROCS; never affects results)")
 	flag.Parse()
 
 	if *netPath == "" {
@@ -52,28 +44,6 @@ func main() {
 		fatal(err)
 	}
 	opt := run.SimOptions()
-
-	if *reps > 1 {
-		r, err := experiment.Run(context.Background(), net, experiment.Options{
-			Reps:     *reps,
-			Workers:  *parallel,
-			BaseSeed: run.Seed,
-			Sim:      opt,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		out := bufio.NewWriter(os.Stdout)
-		if err := r.Pooled.Report(out); err != nil {
-			fatal(err)
-		}
-		if err := out.Flush(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "pnut-sim: %s: reps=%d workers=%d events=%d elapsed=%s\n",
-			net.Name, r.Reps, r.Workers, r.Events, r.Elapsed.Round(time.Microsecond))
-		return
-	}
 
 	w, err := trace.NewFormatWriter(os.Stdout, trace.HeaderOf(net), *format, *flush)
 	if err != nil {

@@ -54,11 +54,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if csvOf(serial) == parallelCSV {
-		fmt.Println("serial and parallel sweep results are byte-identical")
-	} else {
-		fmt.Println("BUG: worker count changed the results")
+	if csvOf(serial) != parallelCSV {
+		log.Fatal("BUG: worker count changed the results")
 	}
+	fmt.Println("serial and parallel sweep results are byte-identical")
 }
 
 func csvOf(r *experiment.SweepResult) string {

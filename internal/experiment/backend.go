@@ -44,9 +44,11 @@ type Backend interface {
 }
 
 // CellInput is everything a backend needs to compute one cell. Cells
-// of one point share the immutable Net; Seed is BaseSeed + cell
-// (deterministic backends ignore it).
+// of one point share the immutable Net; Cell is the absolute grid
+// index and Seed is BaseSeed + Cell (deterministic backends ignore
+// it).
 type CellInput struct {
+	Cell   int
 	Point  int
 	Net    *petri.Net
 	Header trace.Header
@@ -83,7 +85,13 @@ func (o *SweepOptions) backend() Backend {
 
 // SimBackend is the stochastic simulation engine — the sweep's default
 // and the only backend whose cells depend on their seed.
-type SimBackend struct{}
+type SimBackend struct {
+	// Observe, if non-nil, supplies one extra observer per cell, Tee'd
+	// with the cell's statistics accumulator; a nil return adds none.
+	// Each call must return a fresh observer: it is confined to that
+	// cell's goroutine. It sees the cell's whole trace, through Final.
+	Observe func(cell int) trace.Observer
+}
 
 // Engine implements Backend.
 func (SimBackend) Engine() string { return "sim" }
@@ -92,22 +100,23 @@ func (SimBackend) Engine() string { return "sim" }
 func (SimBackend) Deterministic() bool { return false }
 
 // NewWorker implements Backend.
-func (SimBackend) NewWorker(opt *SweepOptions) (BackendWorker, error) {
+func (b SimBackend) NewWorker(opt *SweepOptions) (BackendWorker, error) {
 	for i := range opt.Metrics {
 		if opt.Metrics[i].Eval == nil {
 			return nil, fmt.Errorf("experiment: metric %q has no Eval hook (name-only metrics belong to the exhaustive engines)", opt.Metrics[i].Name)
 		}
 	}
-	return &simWorker{opt: opt}, nil
+	return &simWorker{opt: opt, observe: b.Observe}, nil
 }
 
 // simWorker keeps the worker-confined engine state the pre-backend
 // pool kept inline: the engine is rebuilt only on point boundaries, so
 // consecutive cells of one point reuse it.
 type simWorker struct {
-	opt   *SweepOptions
-	point int
-	eng   *sim.Engine
+	opt     *SweepOptions
+	observe func(cell int) trace.Observer
+	point   int
+	eng     *sim.Engine
 }
 
 func (w *simWorker) RunCell(ctx context.Context, in CellInput) (CellOutcome, error) {
@@ -118,7 +127,13 @@ func (w *simWorker) RunCell(ctx context.Context, in CellInput) (CellOutcome, err
 	so := w.opt.Sim
 	so.Seed = in.Seed
 	acc := stats.New(in.Header)
-	res, err := w.eng.Run(ctx, acc, so)
+	var obs trace.Observer = acc
+	if w.observe != nil {
+		if extra := w.observe(in.Cell); extra != nil {
+			obs = trace.Tee{acc, extra}
+		}
+	}
+	res, err := w.eng.Run(ctx, obs, so)
 	if err != nil {
 		return CellOutcome{}, err
 	}

@@ -20,10 +20,10 @@ import (
 // uses the reach package defaults (100k states, bound cap 4096,
 // in-memory store, GOMAXPROCS exploration).
 type ReachBackend struct {
-	// Opt carries the full state-space controls. MaxStates, BoundCap
-	// and the store selection pin the grid and enter the cell-stream
-	// meta; Shards/SpillBudget/SpillDir only shape execution (graphs
-	// are bit-identical for any value).
+	// Opt carries the full state-space controls. MaxStates and
+	// BoundCap pin the grid and enter the cell-stream meta; the store
+	// selection and Shards/SpillBudget/SpillDir only shape execution
+	// (graphs are bit-identical for any value).
 	Opt reach.Options
 }
 
@@ -35,15 +35,6 @@ func (ReachBackend) Deterministic() bool { return true }
 
 // StatePins reports the state-space controls that pin the grid meta.
 func (b ReachBackend) StatePins() (maxStates, boundCap int) { return b.Opt.MaxStates, b.Opt.BoundCap }
-
-// StorePin reports the marking-store selection for the grid meta ("" =
-// the default in-memory store).
-func (b ReachBackend) StorePin() string {
-	if n := b.Opt.StoreName(); n != reach.StoreMem {
-		return n
-	}
-	return ""
-}
 
 // NewWorker implements Backend, resolving every metric name eagerly —
 // a misspelled metric or malformed CTL formula fails validation, not a

@@ -1,7 +1,10 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -202,9 +205,6 @@ func TestCellMetaEngine(t *testing.T) {
 	if m.Engine != "reach" || m.MaxStates != 777 || m.BoundCap != 33 {
 		t.Errorf("reach meta pins wrong: %+v", m)
 	}
-	if m.Store != "" {
-		t.Errorf("default store pinned as %q, want absent", m.Store)
-	}
 	other := m
 	other.MaxStates = 778
 	if m.SameGrid(&other) {
@@ -214,20 +214,33 @@ func TestCellMetaEngine(t *testing.T) {
 		t.Error("reach grid compared equal to sim grid")
 	}
 
-	// The store selection pins the grid too: an absent store equals an
-	// explicit "mem" (pre-spill streams), but "spill" differs.
-	opt.Backend = ReachBackend{Opt: reach.Options{MaxStates: 777, BoundCap: 33, Store: reach.StoreSpill}}
+	// Stores are bit-identical by contract, so the store selection is
+	// not part of the grid: mem and spill metas compare equal and encode
+	// to the same bytes, which is what the server's cache key hashes
+	// (package cache imports this one, so the key itself is checked by
+	// the server tests).
+	opt.Backend = ReachBackend{Opt: reach.Options{MaxStates: 777, BoundCap: 33, Store: reach.StoreSpill, SpillBudget: 1024}}
 	spillMeta := MetaOf(opt, "m")
-	if spillMeta.Store != "spill" {
-		t.Errorf("spill store pinned as %q", spillMeta.Store)
+	if !m.SameGrid(&spillMeta) {
+		t.Error("mem and spill store metas compared unequal")
 	}
-	if m.SameGrid(&spillMeta) {
-		t.Error("mem and spill store metas compared equal")
+	line, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	explicitMem := m
-	explicitMem.Store = "mem"
-	if !m.SameGrid(&explicitMem) {
-		t.Error("absent store != explicit mem")
+	if spillLine, err := json.Marshal(spillMeta); err != nil || !bytes.Equal(line, spillLine) {
+		t.Errorf("mem and spill store metas encode differently:\n%s\n%s", line, spillLine)
+	}
+
+	// A journal line written while the store was pinned still decodes,
+	// and equals a fresh mem meta.
+	pinned := strings.TrimSuffix(string(line), "}") + `,"store":"spill"}`
+	r, err := NewCellReader(strings.NewReader(pinned + "\n"))
+	if err != nil {
+		t.Fatalf("meta with a store pin does not decode: %v\n%s", err, pinned)
+	}
+	if old := r.Meta(); !reflect.DeepEqual(old, m) || !old.SameGrid(&m) {
+		t.Errorf("pinned meta decodes to %+v, want %+v", old, m)
 	}
 }
 

@@ -22,9 +22,7 @@ import (
 // CellFormat and CellVersion identify the cell-record stream format.
 // Readers reject other formats and newer versions. Version 2 added the
 // meta's adaptive stopping-rule fields; version 3 added the engine tag
-// and state-space pins for the exhaustive backends (later extended
-// with the optional marking-store pin — absent means the in-memory
-// store, so older v3 streams still compare correctly). Cell lines are
+// and state-space pins for the exhaustive backends. Cell lines are
 // unchanged (cells are self-identifying, so the format tolerates a
 // dynamically growing grid), and v1/v2 streams still decode — an
 // absent engine means "sim".
@@ -70,12 +68,6 @@ type CellMeta struct {
 	// on where exploration truncates.
 	MaxStates int `json:"maxStates,omitempty"`
 	BoundCap  int `json:"boundCap,omitempty"`
-	// Store pins the reach engine's marking-store selection (empty =
-	// the in-memory store, so pre-spill streams compare correctly).
-	// Stores are bit-identical by contract; the pin records how cached
-	// or journaled cells were produced, so a store-semantics drift is
-	// rejected instead of silently mixed.
-	Store string `json:"store,omitempty"`
 }
 
 // MetaOf derives the stream meta for a sweep. netName may be empty.
@@ -100,9 +92,6 @@ func MetaOf(opt SweepOptions, netName string) CellMeta {
 		m.Engine = b.Engine()
 		if sp, ok := b.(interface{ StatePins() (int, int) }); ok {
 			m.MaxStates, m.BoundCap = sp.StatePins()
-		}
-		if sp, ok := b.(interface{ StorePin() string }); ok {
-			m.Store = sp.StorePin()
 		}
 	}
 	return m
@@ -133,16 +122,6 @@ func (m *CellMeta) SameGrid(o *CellMeta) bool {
 		oeng = "sim"
 	}
 	if eng != oeng || m.MaxStates != o.MaxStates || m.BoundCap != o.BoundCap {
-		return false
-	}
-	st, ost := m.Store, o.Store
-	if st == "" {
-		st = "mem"
-	}
-	if ost == "" {
-		ost = "mem"
-	}
-	if st != ost {
 		return false
 	}
 	if m.Reps != o.Reps || m.BaseSeed != o.BaseSeed || m.Cells != o.Cells ||

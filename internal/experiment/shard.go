@@ -192,6 +192,7 @@ func RunCellSpansContext(ctx context.Context, opt SweepOptions, spans []CellSpan
 			ws[worker] = w
 		}
 		out, err := ws[worker].RunCell(ctx, CellInput{
+			Cell:   cell,
 			Point:  p,
 			Net:    nets[slot[p]],
 			Header: headers[slot[p]],

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -309,20 +308,17 @@ func TestSweepCancellation(t *testing.T) {
 	}
 }
 
-// TestRunCancellation mirrors the sweep test for the replication driver.
+// TestRunCancellation mirrors the sweep test for a zero-axis sweep: the
+// replications of one experiment stop at the next cell boundary too.
 func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	net := testNet(t)
 	ran := 0
-	_, err := Run(ctx, net, Options{
-		Reps: 16, Workers: 1, BaseSeed: 5,
-		Sim: sim.Options{Horizon: 500},
-		Metrics: []Metric{{Name: "tripwire", Eval: func(*stats.Stats) (float64, error) {
+	_, err := Sweep(ctx, replications(testNet(t), 16, 1, 5, 500,
+		Metric{Name: "tripwire", Eval: func(*stats.Stats) (float64, error) {
 			ran++
 			cancel()
 			return 0, nil
-		}}},
-	})
+		}}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run error = %v, want context.Canceled", err)
 	}

@@ -1,5 +1,5 @@
-// Sweep generalizes the replication driver from one experiment to a
-// whole parameter study: the paper's workflow of sweeping design
+// Sweep is the replication driver, from one replicated experiment up
+// to a whole parameter study: the paper's workflow of sweeping design
 // parameters (cache hit ratio, memory speed, ...) across many
 // simulation experiments and comparing the resulting performance
 // curves.
@@ -8,12 +8,11 @@
 // Each point is an experiment of R replications; every (point,
 // replication) cell fans through one shared worker pool, so a wide
 // grid with few replications parallelizes as well as a narrow grid
-// with many. Determinism extends the PR-1 guarantee from replications
-// to grids:
+// with many. Every result is deterministic:
 //
 //   - Cell (p, r) always runs with seed BaseSeed + p*Reps + r, no
-//     matter which worker executes it. For a single point this
-//     degenerates to the replication driver's BaseSeed+r.
+//     matter which worker executes it. For zero axes (one point) this
+//     is BaseSeed+r.
 //   - Nets are built once per point, before the pool starts, in point
 //     order — parameter mutation never races with simulation.
 //   - Workers own their engines and rebuild them only when they cross
@@ -115,8 +114,8 @@ type AdaptiveOptions struct {
 // SweepOptions configure one parameter sweep.
 type SweepOptions struct {
 	// Axes are the swept parameters; their cartesian product is the
-	// grid. An empty Axes runs a single point (the origin), which makes
-	// a sweep of zero axes exactly equivalent to Run.
+	// grid. An empty Axes runs a single point (the origin): Reps
+	// replications of one experiment.
 	Axes []Axis
 	// Reps is the number of independent replications per point (at
 	// least 1). Ignored when Adaptive is set.

@@ -163,36 +163,30 @@ func TestCLIAnimator(t *testing.T) {
 	}
 }
 
-// TestCLIExperiment drives the replication mode end to end: pnut-exp
-// summarizes metrics across replications, and the pooled report of
-// pnut-sim -reps must be byte-identical for every -parallel value.
+// TestCLIExperiment drives the replication driver end to end: pnut-exp
+// summarizes metrics across replications, and its output must be
+// byte-identical for every -parallel value after the first line (which
+// names the worker count).
 func TestCLIExperiment(t *testing.T) {
-	bins := buildTools(t, "pnut-sim", "pnut-exp")
-	out, err := exec.Command(bins["pnut-exp"],
-		"-net", testdataPath(t, "pipeline.pn"), "-horizon", "2000", "-reps", "6",
-		"-throughput", "Issue", "-utilization", "Bus_busy", "-report").Output()
-	if err != nil {
-		t.Fatalf("pnut-exp: %v", err)
-	}
-	for _, want := range []string{"6 replications", "throughput(Issue)", "utilization(Bus_busy)", "95% CI", "PLACE STATISTICS"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("pnut-exp output missing %q:\n%s", want, out)
-		}
-	}
-	var reports [][]byte
+	bins := buildTools(t, "pnut-exp")
+	var outs [][]byte
 	for _, workers := range []string{"1", "5"} {
-		rep, err := exec.Command(bins["pnut-sim"],
-			"-net", testdataPath(t, "pipeline.pn"), "-horizon", "2000",
-			"-seed", "42", "-reps", "6", "-parallel", workers).Output()
+		out, err := exec.Command(bins["pnut-exp"],
+			"-net", testdataPath(t, "pipeline.pn"), "-horizon", "2000", "-seed", "42", "-reps", "6",
+			"-throughput", "Issue", "-utilization", "Bus_busy", "-report", "-parallel", workers).Output()
 		if err != nil {
-			t.Fatalf("pnut-sim -reps -parallel %s: %v", workers, err)
+			t.Fatalf("pnut-exp -parallel %s: %v", workers, err)
 		}
-		reports = append(reports, rep)
+		outs = append(outs, out)
 	}
-	if !bytes.Equal(reports[0], reports[1]) {
-		t.Error("pnut-sim -reps report differs between -parallel 1 and -parallel 5")
+	for _, want := range []string{"6 replications", "throughput(Issue)", "utilization(Bus_busy)", "95% CI", "PLACE STATISTICS", "RUN STATISTICS"} {
+		if !strings.Contains(string(outs[0]), want) {
+			t.Errorf("pnut-exp output missing %q:\n%s", want, outs[0])
+		}
 	}
-	if !strings.Contains(string(reports[0]), "RUN STATISTICS") {
-		t.Errorf("pooled report malformed:\n%.300s", reports[0])
+	_, rest1, _ := bytes.Cut(outs[0], []byte("\n"))
+	_, rest5, _ := bytes.Cut(outs[1], []byte("\n"))
+	if !bytes.Equal(rest1, rest5) {
+		t.Error("pnut-exp output differs between -parallel 1 and -parallel 5")
 	}
 }

@@ -176,6 +176,42 @@ func TestServeSweepByteIdentical(t *testing.T) {
 	resp4.Body.Close()
 }
 
+// TestStoreSharesCacheEntry: the marking stores are bit-identical by
+// contract, so the store selection is not part of a job's grid. A reach
+// job run on the in-memory store and resubmitted on the spill store is
+// the same address: the second reply is a cache hit with the same body.
+func TestStoreSharesCacheEntry(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheBytes: 1 << 20, Workers: 2})
+	net, err := os.ReadFile("../../testdata/mutex.pn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sweepcli.Spec{
+		Net:    string(net),
+		Engine: "reach",
+		Bound:  []string{"lock"},
+		Ctl:    []string{"AG(EF({crit_a == 1}))"},
+		Format: "csv",
+		Store:  "mem",
+	}
+	var bodies [2]bytes.Buffer
+	for i, want := range []string{"miss", "hit"} {
+		resp := submit(t, ts, spec, "?wait=1", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("store %s: status %d", spec.Store, resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-Pnut-Cache"); got != want {
+			t.Fatalf("store %s: X-Pnut-Cache = %q, want %q", spec.Store, got, want)
+		}
+		bodies[i].ReadFrom(resp.Body)
+		resp.Body.Close()
+		spec.Store, spec.SpillBudget, spec.SpillDir = "spill", 1024, t.TempDir()
+	}
+	if !bytes.Equal(bodies[0].Bytes(), bodies[1].Bytes()) {
+		t.Fatalf("spill reply differs from mem reply:\n%s\nvs\n%s", bodies[1].String(), bodies[0].String())
+	}
+}
+
 // TestCancelQueuedFreesSlot: canceling a queued job releases its queue
 // slot, and canceling the running job lets the next one start.
 func TestCancelQueuedFreesSlot(t *testing.T) {

@@ -35,8 +35,8 @@ type EngineFlags struct {
 	Explore int
 	// Store selects the reach engine's marking store ("mem" or
 	// "spill"); SpillBudget/SpillDir shape the spill store. Graphs are
-	// bit-identical across stores, but Store is pinned in cell metadata
-	// so cached results record how they were produced.
+	// bit-identical across stores, so like -parallel none of them
+	// enters the cell metadata or the cache key.
 	Store       string
 	SpillBudget int64
 	SpillDir    string

@@ -189,8 +189,8 @@ func TestCrossOptionsAndValidate(t *testing.T) {
 }
 
 // TestEngineStoreFlags: the state-store group flows flags -> options ->
-// backend -> grid meta, rejects cross-engine combinations, and fails a
-// bad store name at parse time on both surfaces.
+// backend, rejects cross-engine combinations, and fails a bad store
+// name at parse time on both surfaces.
 func TestEngineStoreFlags(t *testing.T) {
 	c := parseConfig(t, "-model", "cache", "-axis", "DHitRatio=0,1",
 		"-engine", "reach", "-store", "spill", "-spill-budget", "4096", "-spill-dir", "/tmp/x")
@@ -205,9 +205,6 @@ func TestEngineStoreFlags(t *testing.T) {
 	if rb.Opt.Store != reach.StoreSpill || rb.Opt.SpillBudget != 4096 || rb.Opt.SpillDir != "/tmp/x" {
 		t.Errorf("backend options lost the store group: %+v", rb.Opt)
 	}
-	if m := experiment.MetaOf(opt, ""); m.Store != "spill" {
-		t.Errorf("grid meta store pin = %q, want spill", m.Store)
-	}
 
 	// -spill-budget alone implies the spill store.
 	c = parseConfig(t, "-model", "cache", "-axis", "DHitRatio=0,1",
@@ -216,8 +213,8 @@ func TestEngineStoreFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := experiment.MetaOf(opt, ""); m.Store != "spill" {
-		t.Errorf("implied spill store pinned as %q", m.Store)
+	if rb, ok := opt.Backend.(experiment.ReachBackend); !ok || rb.Opt.StoreName() != reach.StoreSpill {
+		t.Errorf("-spill-budget alone did not select the spill store: %+v", opt.Backend)
 	}
 
 	for _, bad := range [][]string{
