@@ -13,10 +13,12 @@ import (
 type space[S any] interface {
 	// expand calls succ for every successor of the committed nodes
 	// [lo, hi) in (node, successor) order. Shards run it concurrently on
-	// disjoint ranges, so it may only read committed state. An error,
-	// including a store's sticky error, aborts the search.
+	// disjoint ranges, so it may only read committed state and shard
+	// w's own buffers. An error, including a store's sticky error,
+	// aborts the search.
 	expand(w, lo, hi int, succ func(id int, s S)) error
 	// hash is the dedup hash of s; its low bits pick the owning shard.
+	// Shard w calls it on its own candidates once expand has returned.
 	hash(s *S) uint64
 	// holds reports whether committed node id holds s's state; shard w
 	// calls it concurrently with the other shards.
@@ -40,31 +42,106 @@ type cand[S any] struct {
 	node, dup int32
 }
 
-// shardCount resolves Options.Shards (0 or less = GOMAXPROCS).
+// maxShards caps Options.Shards. Every shard costs a goroutine and two
+// dedup tables per level, so an unchecked count from a job spec could
+// exhaust memory; past the core count more shards buy nothing, and the
+// graph is the same for every count.
+const maxShards = 256
+
+// shardCount resolves Options.Shards (0 or less = GOMAXPROCS), clamped
+// to maxShards.
 func (o Options) shardCount() int {
-	if o.Shards <= 0 {
-		return runtime.GOMAXPROCS(0)
+	n := o.Shards
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
-	return o.Shards
+	return min(n, maxShards)
+}
+
+// idTable is an open-addressing set of (hash, id) pairs with linear
+// probing: one shard's dedup index. It holds no slice per key, so
+// inserting allocates only when the table doubles. The slot index comes
+// from the hash's high bits, since the low bits picked the shard.
+type idTable struct {
+	slots []idSlot
+	n     int
+	shift uint // 64 - log2(len(slots))
+}
+
+// idSlot is one table entry; id is stored plus one so that the zero
+// slot is empty.
+type idSlot struct {
+	hash uint64
+	id   int32
+}
+
+// reset empties t and sizes it for n entries at load factor at most
+// 1/2, reusing its slots.
+func (t *idTable) reset(n int) {
+	size, shift := 8, uint(61)
+	for size < 2*n {
+		size, shift = size*2, shift-1
+	}
+	if cap(t.slots) < size {
+		t.slots = make([]idSlot, size)
+	}
+	t.slots, t.n, t.shift = t.slots[:size], 0, shift
+	clear(t.slots)
+}
+
+// lookup returns the id of the first entry with hash h that eq accepts,
+// or -1.
+func (t *idTable) lookup(h uint64, eq func(id int32) bool) int32 {
+	mask := len(t.slots) - 1
+	for i := int(h >> t.shift); t.slots[i].id != 0; i = (i + 1) & mask {
+		if s := t.slots[i]; s.hash == h && eq(s.id-1) {
+			return s.id - 1
+		}
+	}
+	return -1
+}
+
+// insert adds (h, id), doubling the table first if it would pass half
+// full.
+func (t *idTable) insert(h uint64, id int32) {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		t.slots = nil
+		t.reset(t.n + 1)
+		for _, s := range old {
+			if s.id != 0 {
+				t.insert(s.hash, s.id-1)
+			}
+		}
+	}
+	mask := len(t.slots) - 1
+	i := int(h >> t.shift)
+	for t.slots[i].id != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = idSlot{hash: h, id: id + 1}
+	t.n++
 }
 
 // explore is the level-synchronized sharded-frontier search behind
 // Build and BuildTimed. Each level is the id range [lo, hi) committed
 // last round, in order, exactly like a serial FIFO queue. Shards
 // expand contiguous chunks of it in parallel; each candidate's owning
-// shard (hash % shards) resolves it against the shard's committed ids
-// and the level's earlier candidates, chaining hash collisions; then
-// the candidates commit sequentially in (node, successor) order, which
-// numbers new states exactly as the serial build does. The result is
-// therefore bit-identical for any shard count. ctx is checked at every
-// level barrier, where no goroutine is in flight.
+// shard (hash % shards) resolves it against the shard's table of
+// committed ids and its table of the level's earlier new candidates,
+// comparing states on every hash match; then the candidates commit
+// sequentially in (node, successor) order, which numbers new states
+// exactly as the serial build does. The result is therefore
+// bit-identical for any shard count. ctx is checked at every level
+// barrier, where no goroutine is in flight.
 func explore[S any](ctx context.Context, sp space[S], root S, shards int) error {
-	seen := make([]map[uint64][]int32, shards) // per shard: hash -> committed ids
-	for i := range seen {
-		seen[i] = make(map[uint64][]int32)
+	seen := make([]idTable, shards) // per shard: committed (hash, id)
+	pend := make([]idTable, shards) // per shard: the level's new (hash, seq)
+	for w := range seen {
+		seen[w].reset(0)
 	}
 	h0 := sp.hash(&root)
-	seen[h0%uint64(shards)][h0] = []int32{0}
+	seen[h0%uint64(shards)].insert(h0, 0)
 
 	var (
 		outs     = make([][]cand[S], shards) // per-shard expansion
@@ -89,10 +166,11 @@ func explore[S any](ctx context.Context, sp space[S], root S, shards int) error 
 				out := outs[w][:0]
 				errs[w] = sp.expand(w, a, b, func(id int, s S) {
 					out = append(out, cand[S]{s: s})
-					c := &out[len(out)-1]
-					c.hash = sp.hash(&c.s)
 					counts[id-lo]++
 				})
+				for i := range out {
+					out[i].hash = sp.hash(&out[i].s)
+				}
 				outs[w] = out
 			}(w, lo+w*chunk, min(lo+(w+1)*chunk, hi))
 		}
@@ -116,27 +194,19 @@ func explore[S any](ctx context.Context, sp space[S], root S, shards int) error 
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				var pend map[uint64][]int32 // hash -> seqs of the level's new states
-			next:
+				p := &pend[w]
+				p.reset(len(byShard[w]))
 				for _, seq := range byShard[w] {
 					c := &flat[seq]
-					c.node, c.dup = -1, -1
-					for _, id := range seen[w][c.hash] {
-						if sp.holds(w, id, &c.s) {
-							c.node = id
-							continue next
-						}
+					c.node = seen[w].lookup(c.hash, func(id int32) bool { return sp.holds(w, id, &c.s) })
+					c.dup = -1
+					if c.node >= 0 {
+						continue
 					}
-					for _, ps := range pend[c.hash] {
-						if sp.same(&flat[ps].s, &c.s) {
-							c.dup = ps
-							continue next
-						}
+					c.dup = p.lookup(c.hash, func(ps int32) bool { return sp.same(&flat[ps].s, &c.s) })
+					if c.dup < 0 {
+						p.insert(c.hash, seq)
 					}
-					if pend == nil {
-						pend = make(map[uint64][]int32)
-					}
-					pend[c.hash] = append(pend[c.hash], seq)
 				}
 			}(w)
 		}
@@ -156,8 +226,7 @@ func explore[S any](ctx context.Context, sp space[S], root S, shards int) error 
 					return nil
 				}
 				if id < 0 && nid >= 0 {
-					own := seen[c.hash%uint64(shards)]
-					own[c.hash] = append(own[c.hash], nid)
+					seen[c.hash%uint64(shards)].insert(c.hash, nid)
 					n++
 				}
 				assigned[seq] = nid

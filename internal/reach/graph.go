@@ -18,8 +18,10 @@
 package reach
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -42,9 +44,9 @@ type Options struct {
 	BoundCap int
 	// Shards is the number of exploration goroutines Build and
 	// BuildTimed fan each frontier level across (0 or less =
-	// GOMAXPROCS). The graph — node numbering, edge order, flags — is
-	// bit-identical for every value; shards only change wall-clock
-	// time.
+	// GOMAXPROCS), clamped to 256. The graph — node numbering, edge
+	// order, flags — is bit-identical for every value; shards only
+	// change wall-clock time.
 	Shards int
 	// Store selects the marking store: StoreMem (the in-memory delta
 	// store) or StoreSpill (framed blocks spilling to a temp file past
@@ -194,26 +196,44 @@ func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
 }
 
 // markingSucc is one untimed successor: the marking reached by firing
-// t. It holds nothing else (32 bytes) so a frontier candidate stays at
-// 48: every byte added here is paid once per successor of a level.
+// t, encoded in the keyframe form (appendMarking) at bytes [off, end)
+// of shard w's arena. It holds nothing else (16 bytes) so a frontier
+// candidate stays at 32: every byte added here is paid once per
+// successor of a level.
 type markingSucc struct {
-	m petri.Marking
-	t petri.TransID
+	w, t     int32
+	off, end uint32
+}
+
+// shardBuf is one shard's reused buffers: the arena its successors of
+// the current level are encoded into, and holds' decode and encode
+// buffers.
+type shardBuf struct {
+	arena []byte
+	fired petri.Marking // expand's successor marking
+	at    petri.Marking // a committed marking, decoded by holds
+	enc   []byte        // at, re-encoded by holds
 }
 
 // graphSpace is the untimed state space: markings live in the graph's
-// StateStore, and commit flags the bound cap and stops at the first
-// truncation.
+// StateStore, candidates in per-shard byte arenas, and edges in one
+// array laid out in commit (= source) order. commit flags the bound cap
+// and stops at the first truncation.
 type graphSpace struct {
 	g       *Graph
 	opt     Options
 	shards  int
 	root    markingSucc
-	scratch []petri.Marking // per-shard store decode buffers
+	bufs    []shardBuf
+	cur     petri.Marking // commit's decode buffer
+	rootCap string        // the place over BoundCap in node 0 ("" if none)
+	edges   []Edge
+	off     []int // off[i]: index in edges of node i's first edge
 }
 
 // newGraphSpace validates net, opens the store Options select and
-// commits the initial marking as node 0.
+// commits the initial marking as node 0. The root candidate sits in
+// shard 0's arena until the first level resets it.
 func newGraphSpace(net *petri.Net, opt Options) (*graphSpace, error) {
 	opt.defaults()
 	if net.Interpreted() {
@@ -224,15 +244,22 @@ func newGraphSpace(net *petri.Net, opt Options) (*graphSpace, error) {
 		return nil, err
 	}
 	s := &graphSpace{g: &Graph{Net: net, store: store}, opt: opt, shards: opt.shardCount()}
-	s.scratch = make([]petri.Marking, s.shards)
-	s.root = markingSucc{m: net.InitialMarking()}
-	s.g.Nodes = append(s.g.Nodes, Node{ID: 0})
-	store.Add(s.root.m)
+	m0 := net.InitialMarking()
+	s.bufs = make([]shardBuf, s.shards)
+	for w := range s.bufs {
+		s.bufs[w].fired = make(petri.Marking, len(m0))
+	}
+	s.bufs[0].arena = appendMarking(nil, m0)
+	s.root = markingSucc{end: uint32(len(s.bufs[0].arena))}
+	s.cur = make(petri.Marking, len(m0))
+	s.rootCap = s.overCap(m0)
+	store.Add(m0)
 	return s, nil
 }
 
-// finish returns the graph, or closes it and returns the first of err
-// and the store's sticky error.
+// finish returns the graph with each node's Out a capped view into the
+// one edge array, or closes it and returns the first of err and the
+// store's sticky error.
 func (s *graphSpace) finish(err error) (*Graph, error) {
 	if err == nil {
 		err = s.g.store.Err()
@@ -241,14 +268,42 @@ func (s *graphSpace) finish(err error) (*Graph, error) {
 		s.g.Close()
 		return nil, err
 	}
+	n := s.g.store.Len()
+	for len(s.off) <= n {
+		s.off = append(s.off, len(s.edges))
+	}
+	s.g.Nodes = make([]Node, n)
+	for i := range s.g.Nodes {
+		s.g.Nodes[i].ID = i
+		if a, b := s.off[i], s.off[i+1]; a < b {
+			s.g.Nodes[i].Out = s.edges[a:b:b]
+		}
+	}
 	return s.g, nil
 }
 
-func (s *graphSpace) expand(_, lo, hi int, succ func(int, markingSucc)) error {
+// overCap returns the first place of m over BoundCap, or "".
+func (s *graphSpace) overCap(m petri.Marking) string {
+	for pi, cnt := range m {
+		if cnt > s.opt.BoundCap {
+			return s.g.Net.Places[pi].Name
+		}
+	}
+	return ""
+}
+
+// encoded returns the arena bytes of candidate c.
+func (s *graphSpace) encoded(c *markingSucc) []byte {
+	return s.bufs[c.w].arena[c.off:c.end]
+}
+
+func (s *graphSpace) expand(w, lo, hi int, succ func(int, markingSucc)) error {
 	if err := s.g.store.Err(); err != nil {
 		return err
 	}
 	net := s.g.Net
+	buf := &s.bufs[w]
+	arena, next := buf.arena[:0], buf.fired
 	var err error
 	s.g.store.Span(lo, hi, func(id int, m petri.Marking) bool {
 		for ti := range net.Trans {
@@ -260,45 +315,58 @@ func (s *graphSpace) expand(_, lo, hi int, succ func(int, markingSucc)) error {
 			if !ok {
 				continue
 			}
-			next := m.Clone()
+			copy(next, m)
 			net.Consume(t, next)
 			net.Produce(t, next)
-			succ(id, markingSucc{m: next, t: t})
+			off := len(arena)
+			arena = appendMarking(arena, next)
+			succ(id, markingSucc{w: int32(w), t: int32(t), off: uint32(off), end: uint32(len(arena))})
 		}
 		return true
 	})
+	buf.arena = arena
+	if err == nil && uint64(len(arena)) > math.MaxUint32 {
+		err = fmt.Errorf("reach: one level's successors exceed %d encoded bytes in a shard", uint64(math.MaxUint32))
+	}
 	return err
 }
 
-func (s *graphSpace) hash(c *markingSucc) uint64 { return hashMarking(c.m) }
+func (s *graphSpace) hash(c *markingSucc) uint64 { return hashBytes(s.encoded(c)) }
 
 func (s *graphSpace) holds(w int, id int32, c *markingSucc) bool {
-	s.scratch[w] = s.g.store.At(int(id), s.scratch[w])
-	return s.scratch[w].Equal(c.m)
+	buf := &s.bufs[w]
+	buf.at = s.g.store.At(int(id), buf.at)
+	buf.enc = appendMarking(buf.enc[:0], buf.at)
+	return bytes.Equal(buf.enc, s.encoded(c))
 }
 
-func (s *graphSpace) same(a, b *markingSucc) bool { return a.m.Equal(b.m) }
+func (s *graphSpace) same(a, b *markingSucc) bool {
+	return bytes.Equal(s.encoded(a), s.encoded(b))
+}
 
+// commit decodes only new states. A duplicate's marking was checked
+// against BoundCap when its node was committed, except node 0's, whose
+// over-cap place newGraphSpace precomputed; so CapExceeded names the
+// same place the serial build does.
 func (s *graphSpace) commit(src int, c *markingSucc, id int32) (int32, bool) {
 	g := s.g
-	if g.CapExceeded == "" {
-		for pi, cnt := range c.m {
-			if cnt > s.opt.BoundCap {
-				g.CapExceeded = g.Net.Places[pi].Name
-				break
-			}
-		}
-	}
 	if id < 0 {
-		if len(g.Nodes) >= s.opt.MaxStates {
+		readMarking(s.encoded(c), s.cur)
+		if g.CapExceeded == "" {
+			g.CapExceeded = s.overCap(s.cur)
+		}
+		if g.store.Len() >= s.opt.MaxStates {
 			g.Truncated = true
 			return -1, true
 		}
-		id = int32(len(g.Nodes))
-		g.Nodes = append(g.Nodes, Node{ID: int(id)})
-		g.store.Add(c.m)
+		id = int32(g.store.Add(s.cur))
+	} else if id == 0 && g.CapExceeded == "" {
+		g.CapExceeded = s.rootCap
 	}
-	g.Nodes[src].Out = append(g.Nodes[src].Out, Edge{Trans: c.t, To: int(id)})
+	for len(s.off) <= src {
+		s.off = append(s.off, len(s.edges))
+	}
+	s.edges = append(s.edges, Edge{Trans: petri.TransID(c.t), To: int(id)})
 	return id, false
 }
 

@@ -3,6 +3,7 @@ package reach
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/modelgen"
@@ -113,16 +114,16 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 }
 
 // collidingSpace gives every candidate the same hash: all states land
-// in one shard and one chain, so every dedup decision goes through the
-// committed-chain (holds) and pending-chain (same) comparisons that
-// 64-bit FNV never exercises on the test nets.
+// in one shard and one probe run of each dedup table, so every dedup
+// decision goes through the committed (holds) and pending (same) state
+// comparisons that 64-bit FNV never exercises on the test nets.
 type collidingSpace[S any] struct{ space[S] }
 
 func (collidingSpace[S]) hash(*S) uint64 { return 0x5eed }
 
 // TestBuildsMatchOraclesWithHashCollisions runs both builders with
 // every hash colliding; the graphs must still match the oracles bit
-// for bit for every shard count. One chain makes dedup quadratic, so
+// for bit for every shard count. One probe run makes dedup quadratic, so
 // each case is capped at collisionMaxStates (the larger nets then also
 // cover truncation under collisions).
 func TestBuildsMatchOraclesWithHashCollisions(t *testing.T) {
@@ -236,19 +237,94 @@ func TestStoreRoundTripThroughGraph(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildParallel(b *testing.B) {
-	net := modelgen.DeepPipeline(12, 5, 1)
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var states int
-			for i := 0; i < b.N; i++ {
-				g, err := Build(context.Background(), net, Options{Shards: shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				states = len(g.Nodes)
+// TestShardsClamped is the regression test for an unbounded shard
+// count from a job spec: explore starts a goroutine and sizes two
+// tables per shard on every level, so Shards: 1<<30 on a 3-state net
+// would run for minutes and take gigabytes. The count is clamped to
+// maxShards, which cannot change the graph.
+func TestShardsClamped(t *testing.T) {
+	if got := (Options{Shards: 1 << 30}).shardCount(); got != maxShards {
+		t.Fatalf("shardCount(1<<30) = %d, want %d", got, maxShards)
+	}
+	net := mutexNet(t)
+	want, err := BuildSerial(context.Background(), net, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Build(context.Background(), net, Options{Shards: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphsIdentical(t, want, got)
+}
+
+// TestBuildAllocsPerState is the exploration core's allocation budget,
+// in the spirit of sim's TestRunAllocsPerEvent: candidates live in
+// reused per-shard arenas, dedup in open-addressing tables and edges in
+// one array, so a build allocates only as its buffers grow and per
+// level, never per state. The net is forkjoin_7x4, the 78,126-state
+// space the exact_analysis benchmark explores every unit.
+func TestBuildAllocsPerState(t *testing.T) {
+	net := modelgen.ForkJoin(7, 4, 1)
+	for _, shards := range []int{1, 2} {
+		var states int
+		allocs := testing.AllocsPerRun(1, func() {
+			g, err := Build(context.Background(), net, Options{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
 			}
-			b.ReportMetric(float64(states), "states")
+			states = len(g.Nodes)
 		})
+		if per := allocs / float64(states); per >= 0.05 {
+			t.Errorf("shards=%d: %.0f allocations for %d states = %.3f per state, want < 0.05", shards, allocs, states, per)
+		}
+	}
+}
+
+// BenchmarkBuildParallel times Build on two generated nets; forkjoin_7x4
+// is the net the exact_analysis perfbench workload explores every unit.
+// Besides the allocations it reports throughput and the live heap the
+// finished graph holds per state: nodes plus edges plus store, measured
+// once after a collection with the graph still reachable.
+func BenchmarkBuildParallel(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		net  *petri.Net
+	}{
+		{"pipeline_12x5", modelgen.DeepPipeline(12, 5, 1)},
+		{"forkjoin_7x4", modelgen.ForkJoin(7, 4, 1)},
+	} {
+		for _, shards := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/shards=%d", bc.name, shards), func(b *testing.B) {
+				build := func() *Graph {
+					g, err := Build(context.Background(), bc.net, Options{Shards: shards})
+					if err != nil {
+						b.Fatal(err)
+					}
+					return g
+				}
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				before := ms.HeapAlloc
+				g := build()
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				states := float64(len(g.Nodes))
+				resident := float64(ms.HeapAlloc-before) / states
+				runtime.KeepAlive(g)
+
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					build()
+				}
+				b.StopTimer()
+				b.ReportMetric(states, "states")
+				b.ReportMetric(states*float64(b.N)/b.Elapsed().Seconds(), "states/s")
+				b.ReportMetric(float64(testing.AllocsPerRun(1, func() { build() }))/states, "allocs/state")
+				b.ReportMetric(resident, "resident-B/state")
+			})
+		}
 	}
 }

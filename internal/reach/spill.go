@@ -126,9 +126,7 @@ func (s *SpillStore) Close() error {
 func (s *SpillStore) Add(m petri.Marking) int {
 	id := s.n
 	if s.curN == 0 {
-		for _, c := range m {
-			s.cur = binary.AppendUvarint(s.cur, uint64(c))
-		}
+		s.cur = appendMarking(s.cur, m)
 	} else {
 		for i, c := range m {
 			s.cur = binary.AppendVarint(s.cur, int64(c-s.prev[i]))

@@ -93,9 +93,7 @@ func (s *MemStore) Add(m petri.Marking) int {
 	id := s.n
 	if id%storeBlock == 0 {
 		s.blocks = append(s.blocks, len(s.buf))
-		for _, c := range m {
-			s.buf = binary.AppendUvarint(s.buf, uint64(c))
-		}
+		s.buf = appendMarking(s.buf, m)
 	} else {
 		for i, c := range m {
 			s.buf = binary.AppendVarint(s.buf, int64(c-s.prev[i]))
@@ -111,12 +109,7 @@ func (s *MemStore) Add(m petri.Marking) int {
 // returns the offset past the entry.
 func (s *MemStore) decodeInto(off int, dst petri.Marking, key bool) int {
 	if key {
-		for i := 0; i < s.places; i++ {
-			v, n := binary.Uvarint(s.buf[off:])
-			dst[i] = int(v)
-			off += n
-		}
-		return off
+		return off + readMarking(s.buf[off:], dst[:s.places])
 	}
 	for i := 0; i < s.places; i++ {
 		d, n := binary.Varint(s.buf[off:])
@@ -169,14 +162,46 @@ func (s *MemStore) Span(lo, hi int, fn func(id int, m petri.Marking) bool) {
 	}
 }
 
+// appendMarking appends m in the keyframe form, each count as a
+// uvarint. The frontier encodes its candidates this way too: the form
+// is injective, so equal bytes mean equal markings.
+func appendMarking(b []byte, m petri.Marking) []byte {
+	for _, c := range m {
+		b = binary.AppendUvarint(b, uint64(c))
+	}
+	return b
+}
+
+// readMarking decodes a keyframe-form marking from b into dst and
+// returns the number of bytes read.
+func readMarking(b []byte, dst petri.Marking) int {
+	off := 0
+	for i := range dst {
+		v, n := binary.Uvarint(b[off:])
+		dst[i] = int(v)
+		off += n
+	}
+	return off
+}
+
 // hashMarking is the binary marking hash the sharded dedup is keyed by:
-// FNV-1a over the varint encoding of the counts. It replaces the
-// Marking.Key() strings of the serial build — no allocation, and the
-// low bits pick the owning shard.
+// FNV-1a over the keyframe form of the counts, so it equals hashBytes
+// of appendMarking(nil, m) without encoding. The low bits pick the
+// owning shard.
 func hashMarking(m petri.Marking) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range m {
 		h = fnvVarint(h, uint64(c))
+	}
+	return h
+}
+
+// hashBytes is FNV-1a over b: the hash of an encoded candidate.
+func hashBytes(b []byte) uint64 {
+	h := uint64(fnvOffset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
 	}
 	return h
 }

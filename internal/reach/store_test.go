@@ -88,4 +88,23 @@ func TestHashMarkingDistinguishes(t *testing.T) {
 	if hashMarking(sw) == hashMarking(m) {
 		t.Fatal("position-swapped marking collides")
 	}
+	// The root, the frontier's encoded candidates and hashTimed share
+	// one hash: hashMarking(m) is FNV-1a over m's keyframe bytes, and
+	// those bytes decode back to m. Counts reach past 1<<14, so the
+	// varints run to three bytes.
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 1000; i++ {
+		m := make(petri.Marking, 1+r.Intn(12))
+		for p := range m {
+			m[p] = r.Intn(1 << (1 + r.Intn(16)))
+		}
+		b := appendMarking(nil, m)
+		if hashBytes(b) != hashMarking(m) {
+			t.Fatalf("%v: FNV of the encoding %x != hashMarking", m, b)
+		}
+		back := make(petri.Marking, len(m))
+		if n := readMarking(b, back); n != len(b) || !back.Equal(m) {
+			t.Fatalf("%v: read back %v from %d of %d bytes", m, back, n, len(b))
+		}
+	}
 }
