@@ -8,7 +8,8 @@
 //	BenchmarkFig5Statistics        — the Figure 5 statistics report (headline)
 //	BenchmarkFig6Animation         — Figure 6 animation frames
 //	BenchmarkFig7Tracer            — Figure 7 Tracertool timing analysis
-//	BenchmarkSec44Queries          — the four Section 4.4 queries
+//	BenchmarkSec44Queries          — the five Section 4.4 queries of trace_pipe
+//	BenchmarkSeqFromReader         — columnar trace into a query state sequence
 //	BenchmarkCacheSweep            — Section 3 cache extension
 //	BenchmarkMemorySpeedSweep      — the introduction's memory-speed claim
 //	BenchmarkAdaptiveSweep         — CI-targeted stopping vs BenchmarkSweepFixedMax
@@ -24,6 +25,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -214,27 +216,40 @@ func BenchmarkFig7Tracer(b *testing.B) {
 	b.ReportMetric(float64(strings.Count(out, "\n")), "plot_rows")
 }
 
-// BenchmarkSec44Queries runs the paper's four verification queries over
-// a full 10 000-cycle trace.
+// queryCycles is the trace length of the query benchmarks: that of a
+// perfbench trace_pipe unit.
+const queryCycles = 40_000
+
+// BenchmarkSec44Queries runs the five Section 4.4 queries of a perfbench
+// trace_pipe unit, parsed once, over a 40 000-cycle trace.
 func BenchmarkSec44Queries(b *testing.B) {
 	net := mustProcessor(b, pipeline.DefaultParams())
 	qb := query.NewBuilder(trace.HeaderOf(net))
-	if _, err := sim.Run(context.Background(), net, qb, sim.Options{Horizon: paperCycles, Seed: 1988}); err != nil {
+	if _, err := sim.Run(context.Background(), net, qb, sim.Options{Horizon: queryCycles, Seed: 1988}); err != nil {
 		b.Fatal(err)
 	}
 	seq := qb.Seq()
-	queries := []string{
+	var queries []*query.Query
+	for _, src := range []string{
 		"forall s in S [ Bus_busy(s) + Bus_free(s) <= 1 ]",
+		"forall s in S [ inev(s, Bus_busy(C) + Bus_free(C) == 1) ]",
 		"exists s in (S - {#0}) [ Empty_I_buffers(s) == 6 ]",
 		"exists s in S [ exec_type_5(s) > 0 ]",
-		"forall s in {s2 in S | Bus_busy(s2) && time(s2) < 9990} [ inev(s, Bus_free(C), true) ]",
+		fmt.Sprintf("forall s in {s2 in S | Bus_busy(s2) && time(s2) < %d} [ inev(s, Bus_free(C), true) ]", queryCycles-50),
+	} {
+		q, err := query.Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries = append(queries, q)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	holds := 0
 	for i := 0; i < b.N; i++ {
 		holds = 0
 		for _, q := range queries {
-			res, err := query.Check(seq, q)
+			res, err := q.Eval(seq)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -244,6 +259,37 @@ func BenchmarkSec44Queries(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(holds), "queries_holding")
+	b.ReportMetric(float64(seq.Len()), "states")
+}
+
+// BenchmarkSeqFromReader decodes an in-memory columnar trace of a
+// trace_pipe unit into a query state sequence.
+func BenchmarkSeqFromReader(b *testing.B) {
+	net := mustProcessor(b, pipeline.DefaultParams())
+	var col bytes.Buffer
+	w := trace.NewColWriter(&col, trace.HeaderOf(net), false)
+	if _, err := sim.Run(context.Background(), net, w, sim.Options{Horizon: queryCycles, Seed: 1988}); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	states := 0
+	for i := 0; i < b.N; i++ {
+		seq, err := query.SeqFromReader(trace.NewColReader(bytes.NewReader(col.Bytes())))
+		if err != nil {
+			b.Fatal(err)
+		}
+		states += seq.Len()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(states), "allocs/state")
+	b.ReportMetric(float64(states)/float64(b.N), "states")
 }
 
 // cacheBuild is the sweep Build hook over the cached pipeline: axis

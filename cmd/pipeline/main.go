@@ -162,7 +162,7 @@ func main() {
 			}
 			fmt.Printf("%s  %s", verdict, c)
 			if res.Witness >= 0 {
-				fmt.Printf("   (witness #%d at t=%d)", res.Witness, seq.States[res.Witness].Time)
+				fmt.Printf("   (witness #%d at t=%d)", res.Witness, seq.Time(res.Witness))
 			}
 			fmt.Println()
 		}

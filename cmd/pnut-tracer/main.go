@@ -139,8 +139,7 @@ func main() {
 		}
 		fmt.Printf("%s  %s", verdict, c)
 		if res.Witness >= 0 {
-			st := &seq.States[res.Witness]
-			fmt.Printf("   (witness state #%d at t=%d)", res.Witness, st.Time)
+			fmt.Printf("   (witness state #%d at t=%d)", res.Witness, seq.Time(res.Witness))
 		}
 		fmt.Println()
 	}

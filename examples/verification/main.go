@@ -79,7 +79,7 @@ func main() {
 		}
 		fmt.Printf("  query: bus token missing for measurable time: %v", res.Holds)
 		if res.Witness >= 0 {
-			fmt.Printf("   (witness #%d at t=%d)", res.Witness, seq.States[res.Witness].Time)
+			fmt.Printf("   (witness #%d at t=%d)", res.Witness, seq.Time(res.Witness))
 		}
 		fmt.Println()
 		util, _ := s.Utilization("Bus_busy")

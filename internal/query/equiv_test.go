@@ -1,0 +1,265 @@
+package query
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/petri"
+	"repro/internal/pipeline"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// paperQueries are the Section 4.4 queries the trace_pipe benchmark
+// runs, for a trace of the given horizon.
+func paperQueries(horizon int) []string {
+	return []string{
+		"forall s in S [ Bus_busy(s) + Bus_free(s) <= 1 ]",
+		"forall s in S [ inev(s, Bus_busy(C) + Bus_free(C) == 1) ]",
+		"exists s in (S - {#0}) [ Empty_I_buffers(s) == 6 ]",
+		"exists s in S [ exec_type_5(s) > 0 ]",
+		fmt.Sprintf("forall s in {s2 in S | Bus_busy(s2) && time(s2) < %d} [ inev(s, Bus_free(C), true) ]", horizon-50),
+	}
+}
+
+// pipelineSeqs simulates the processor once into both the columnar Seq
+// and the oracle's row sequence.
+func pipelineSeqs(tb testing.TB, horizon, seed int64) (*Seq, *rowSeq) {
+	tb.Helper()
+	net, err := pipeline.Processor(pipeline.DefaultParams())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := trace.HeaderOf(net)
+	b, rb := NewBuilder(h), newRowBuilder(h)
+	if _, err := sim.Run(context.Background(), net, trace.Tee{b, rb}, sim.Options{Horizon: horizon, Seed: seed}); err != nil {
+		tb.Fatal(err)
+	}
+	return b.Seq(), rb.Seq()
+}
+
+// sameStates fails unless seq holds exactly the oracle's states.
+func sameStates(t *testing.T, seq *Seq, rows *rowSeq) {
+	t.Helper()
+	if seq.Len() != rows.Len() || seq.FinalTime != rows.FinalTime {
+		t.Fatalf("%d states ending at %d, oracle %d ending at %d", seq.Len(), seq.FinalTime, rows.Len(), rows.FinalTime)
+	}
+	for i, st := range rows.States {
+		if seq.Time(i) != st.Time {
+			t.Fatalf("state %d at time %d, oracle %d", i, seq.Time(i), st.Time)
+		}
+		for p, v := range st.Marking {
+			if got := seq.Place(petri.PlaceID(p))[i]; got != v {
+				t.Fatalf("state %d place %d = %d, oracle %d", i, p, got, v)
+			}
+		}
+		for tr, v := range st.Active {
+			if got := seq.Trans(petri.TransID(tr))[i]; got != v {
+				t.Fatalf("state %d transition %d = %d, oracle %d", i, tr, got, v)
+			}
+		}
+	}
+}
+
+// sameVerdict fails unless the compiled evaluator and the oracle agree
+// on q: the same Result and the same error text.
+func sameVerdict(t *testing.T, q *Query, seq *Seq, rows *rowSeq) {
+	t.Helper()
+	got, gotErr := q.Eval(seq)
+	want, wantErr := rowEval(q, rows)
+	if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s\ncompiled: %+v, %v\noracle:   %+v, %v", q, got, gotErr, want, wantErr)
+	}
+}
+
+func TestPaperQueriesMatchOracle(t *testing.T) {
+	const horizon = 40_000
+	for _, seed := range []int64{1, 7, 1988} {
+		seq, rows := pipelineSeqs(t, horizon, seed)
+		sameStates(t, seq, rows)
+		for _, src := range paperQueries(horizon) {
+			q, err := Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameVerdict(t, q, seq, rows)
+		}
+	}
+}
+
+// TestEvalAllocsIndependentOfLength: a compiled query allocates per
+// Eval, never per state.
+func TestEvalAllocsIndependentOfLength(t *testing.T) {
+	allocs := func(horizon int64) float64 {
+		seq, _ := pipelineSeqs(t, horizon, 3)
+		var qs []*Query
+		for _, src := range paperQueries(int(horizon)) {
+			q, err := Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs = append(qs, q)
+		}
+		return testing.AllocsPerRun(3, func() {
+			for _, q := range qs {
+				if _, err := q.Eval(seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	if short, long := allocs(10_000), allocs(40_000); short != long {
+		t.Errorf("five queries allocate %v times at horizon 10000, %v at 40000", short, long)
+	}
+}
+
+func TestSeqFromReaderAllocsPerState(t *testing.T) {
+	net, err := pipeline.Processor(pipeline.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var col bytes.Buffer
+	w := trace.NewColWriter(&col, trace.HeaderOf(net), false)
+	if _, err := sim.Run(context.Background(), net, w, sim.Options{Horizon: 40_000, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	allocs := testing.AllocsPerRun(3, func() {
+		seq, err := SeqFromReader(trace.NewColReader(bytes.NewReader(col.Bytes())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n = seq.Len()
+	})
+	if per := allocs / float64(n); per >= 0.01 {
+		t.Errorf("SeqFromReader: %v allocs for %d states, %.4f per state", allocs, n, per)
+	}
+}
+
+// Names of the synthetic fuzz traces: the paper's, so its queries run.
+var (
+	fuzzPlaces = []string{"Bus_busy", "Bus_free", "Empty_I_buffers"}
+	fuzzTrans  = []string{"exec_type_5", "Issue"}
+)
+
+// fuzzTrace decodes fuzz bytes into a short trace. Byte 0 picks one to
+// three places and one or two transitions, and its flag bits name
+// transition 0 after place 0 (0x40), drop every record (0x20) and end
+// the run with a Final record (0x80). Then come the initial marking, a
+// byte per place, and up to 64 Start/End records of three bytes each:
+// kind and transition, time step, and one place delta.
+func fuzzTrace(data []byte) (trace.Header, []trace.Record) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	b := next()
+	np, nt := 1+int(b%3), 1+int(b/3%2)
+	h := trace.Header{Net: "fuzz", Places: fuzzPlaces[:np], Trans: append([]string(nil), fuzzTrans[:nt]...)}
+	if b&0x40 != 0 {
+		h.Trans[0] = h.Places[0]
+	}
+	if b&0x20 != 0 {
+		return h, nil
+	}
+	m := make(petri.Marking, np)
+	for p := range m {
+		m[p] = int(next() % 4)
+	}
+	recs := []trace.Record{{Kind: trace.Initial, Marking: m}}
+	var tm petri.Time
+	for k := 0; k < 64 && len(data) >= 3; k++ {
+		op, step, d := next(), next(), next()
+		rec := trace.Record{Kind: trace.Start, Trans: petri.TransID(int(op>>1) % nt)}
+		if op&1 != 0 {
+			rec.Kind = trace.End
+		}
+		tm += petri.Time(step % 3)
+		rec.Time = tm
+		if change := int(d%5) - 2; change != 0 {
+			rec.Deltas = []trace.Delta{{Place: petri.PlaceID(int(d/5) % np), Change: change}}
+		}
+		recs = append(recs, rec)
+	}
+	if b&0x80 != 0 {
+		recs = append(recs, trace.Record{Kind: trace.Final, Time: tm + 1})
+	}
+	return h, recs
+}
+
+// fuzzSeeds are query sources that exercise each evaluation path: the
+// paper's five queries, nested and forward-scanning inev, a quantifier
+// variable named C, errors that short-circuiting must not raise, errors
+// an inev table must carry back, and empty sets.
+var fuzzSeeds = []string{
+	"forall s in S [ Bus_busy(s) + Bus_free(s) <= 1 ]",
+	"forall s in S [ inev(s, Bus_busy(C) + Bus_free(C) == 1) ]",
+	"exists s in (S - {#0}) [ Empty_I_buffers(s) == 2 ]",
+	"exists s in S [ exec_type_5(s) > 0 ]",
+	"forall s in {s2 in S | Bus_busy(s2) && time(s2) < 40} [ inev(s, Bus_free(C), true) ]",
+	"forall s in S [ inev(s, inev(C, Bus_free(C) > 1, Bus_busy(C)), Issue(C) == 0) ]",
+	"exists s in S [ inev(s, inev(C, index(C) > 3 && Bus_busy(C) == 0)) ]",
+	"exists s in S [ inev(s, Bus_free(C) > Bus_free(s), Bus_busy(C)) ]",
+	"forall s in S [ inev(s, index(C) > index(s) + 2, dur(C) == 0 || Issue(C) > 0) ]",
+	"forall s in S [ inev(s, inev(C, Bus_busy(C) < Bus_busy(s))) ]",
+	"forall C in S [ inev(C, Bus_busy(C) > 0) || dur(C) == 0 ]",
+	"exists C in S [ !inev(C, index(C) > 1) ]",
+	"exists C in {C in S | inev(C, exec_type_5(C))} [ inev(C, C2(C), time(C) > 1) ]",
+	"forall s in S [ false && Bus_busy(x) > 0 ]",
+	"exists s in S [ true || Nope(s) ]",
+	"forall s in S [ Bus_busy(s) == 0 || 1 / 0 == 1 ]",
+	"forall s in S [ Bus_busy(s) > 5 && Nope(s) / 0 ]",
+	"forall s in S [ inev(s, Bus_free(C) / (Bus_busy(C) - 1) > 0) ]",
+	"exists s in S [ inev(s, 1 / (index(C) - 2) == 5) ]",
+	"exists s in (S - {#0, #1}) [ inev(s, 1 / (index(C) - 2) == 5 || Nope(C)) ]",
+	"exists s in S [ inev(s, Bus_busy(C) > 1, 1 / Issue(C)) ]",
+	"exists s in S [ inev(s, Bus_busy(C) > 1, Issue(C) > 0 || x(y)) ]",
+	"forall s in S [ inev(x, 1) ]",
+	"forall s in {x in S | Bus_busy(x)} [ Bus_busy(x) ]",
+	"forall s in {x in S | 0} [ Nope(q) / 0 ]",
+	"exists s in {x in {y in S | false} | x(x)} [ 1 ]",
+	"exists s in (S - {#0, #1, #99}) [ -Bus_free(s) * 3 != !Issue(s) - 1 ]",
+}
+
+func FuzzQuery(f *testing.F) {
+	traces := [][]byte{
+		{0x82, 1, 0, 2, 0, 1, 7, 1, 0, 13, 2, 1, 3, 3, 2, 12, 1, 1, 11, 0, 0, 2},
+		{0xc4, 0, 1, 2, 3, 1, 8},
+		{0x20},
+	}
+	for i, src := range fuzzSeeds {
+		f.Add(traces[0], src)
+		f.Add(traces[1+i%2], src)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, src string) {
+		q, err := Parse(src)
+		// Each inev level multiplies the forward scan's cost by the trace
+		// length; cap the nesting so one input stays fast.
+		if err != nil || len(src) > 512 || strings.Count(src, "inev") > 2 {
+			return
+		}
+		h, recs := fuzzTrace(data)
+		b, rb := NewBuilder(h), newRowBuilder(h)
+		for i := range recs {
+			if err := b.Record(&recs[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := rb.Record(&recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seq, rows := b.Seq(), rb.Seq()
+		sameStates(t, seq, rows)
+		sameVerdict(t, q, seq, rows)
+	})
+}

@@ -3,6 +3,8 @@ package query
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/petri"
 )
 
 func TestLexerTokens(t *testing.T) {
@@ -79,13 +81,8 @@ func TestParseSetForms(t *testing.T) {
 }
 
 func TestOutOfRangeStateRefsIgnored(t *testing.T) {
-	seq := &Seq{}
-	seq.Header.Places = []string{"p"}
-	seq.Header.Trans = []string{"t"}
 	// Two states.
-	for i := 0; i < 2; i++ {
-		seq.States = append(seq.States, State{Index: i, Marking: []int{i}, Active: []int{0}})
-	}
+	seq := tableSeq([]string{"p"}, []string{"t"}, [][]int{{0, 0}, {1, 0}})
 	// Excluding #99 is harmless.
 	res, err := Check(seq, "exists s in (S - {#99}) [ p(s) == 1 ]")
 	if err != nil || !res.Holds {
@@ -94,10 +91,7 @@ func TestOutOfRangeStateRefsIgnored(t *testing.T) {
 }
 
 func TestArithmeticInQueries(t *testing.T) {
-	seq := &Seq{}
-	seq.Header.Places = []string{"p", "q"}
-	seq.Header.Trans = []string{"t"}
-	seq.States = []State{{Index: 0, Marking: []int{6, 2}, Active: []int{1}}}
+	seq := tableSeq([]string{"p", "q"}, []string{"t"}, [][]int{{6, 2, 1}})
 	cases := []struct {
 		src  string
 		want bool
@@ -123,12 +117,26 @@ func TestArithmeticInQueries(t *testing.T) {
 }
 
 func TestUnboundVariableInComprehension(t *testing.T) {
-	seq := &Seq{}
-	seq.Header.Places = []string{"p"}
-	seq.Header.Trans = []string{"t"}
-	seq.States = []State{{Index: 0, Marking: []int{1}, Active: []int{0}}}
+	seq := tableSeq([]string{"p"}, []string{"t"}, [][]int{{1, 0}})
 	// The comprehension variable goes out of scope in the body.
 	if _, err := Check(seq, "forall s in {x in S | p(x) > 0} [ p(x) > 0 ]"); err == nil {
 		t.Error("out-of-scope variable accepted")
 	}
+}
+
+// tableSeq lays out a Seq, all of whose states are at time 0, from rows
+// of place values followed by transition values, one row per state. It
+// can express states no record stream reaches, such as a transition
+// already firing in state #0.
+func tableSeq(places, trans []string, rows [][]int) *Seq {
+	n := len(rows)
+	seq := &Seq{times: make([]petri.Time, n), cols: make([]int, (len(places)+len(trans))*n)}
+	seq.Header.Places = places
+	seq.Header.Trans = trans
+	for i, row := range rows {
+		for c, v := range row {
+			seq.cols[c*n+i] = v
+		}
+	}
+	return seq
 }

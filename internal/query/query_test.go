@@ -43,13 +43,13 @@ func TestSeqBuilding(t *testing.T) {
 	if seq.Len() < 7 {
 		t.Fatalf("expected at least 7 states, got %d", seq.Len())
 	}
-	if seq.States[0].Index != 0 || seq.States[0].Time != 0 {
-		t.Errorf("state 0 wrong: %+v", seq.States[0])
+	if seq.Time(0) != 0 {
+		t.Errorf("state 0 at time %d", seq.Time(0))
 	}
 	// Initial marking visible in state 0.
-	v, ok := seq.Value("Bus_free", &seq.States[0])
-	if !ok || v != 1 {
-		t.Errorf("Bus_free in #0 = %d, %v", v, ok)
+	id, ok := seq.Header.PlaceID("Bus_free")
+	if !ok || seq.Place(id)[0] != 1 {
+		t.Errorf("Bus_free in #0 = %d, %v", seq.Place(id)[0], ok)
 	}
 	if seq.FinalTime != 100 {
 		t.Errorf("final time = %d", seq.FinalTime)
@@ -80,7 +80,7 @@ func TestForallFindsViolation(t *testing.T) {
 		t.Fatal("no witness returned")
 	}
 	// The witness really violates.
-	if v, _ := seq.Value("done", &seq.States[res.Witness]); v == 0 {
+	if id, _ := seq.Header.PlaceID("done"); seq.Place(id)[res.Witness] == 0 {
 		t.Errorf("witness state %d does not violate", res.Witness)
 	}
 }
@@ -324,5 +324,48 @@ func TestBuilderErrors(t *testing.T) {
 	}
 	if err := b.Record(&trace.Record{Kind: trace.Initial, Marking: petri.Marking{1, 2}}); err == nil {
 		t.Error("wrong-size marking accepted")
+	}
+	if err := b.Record(&trace.Record{Kind: trace.Initial, Marking: petri.Marking{1}}); err != nil {
+		t.Fatal(err)
+	}
+	// A rejected record changes nothing: the valid delta of an event for
+	// an unknown transition must not reach the marking.
+	bad := []trace.Record{
+		{Kind: trace.Start, Trans: 1, Deltas: []trace.Delta{{Place: 0, Change: -1}}},
+		{Kind: trace.End, Trans: -1, Deltas: []trace.Delta{{Place: 0, Change: 5}}},
+		{Kind: trace.Start, Trans: 0, Deltas: []trace.Delta{{Place: 0, Change: -1}, {Place: 1, Change: 1}}},
+		// A second initial state would reset the marking but not the
+		// concurrent-firing counts.
+		{Kind: trace.Initial, Time: 3, Marking: petri.Marking{7}},
+		{Kind: 'X'},
+	}
+	for _, rec := range bad {
+		if err := b.Record(&rec); err == nil {
+			t.Errorf("%+v accepted", rec)
+		}
+	}
+	if err := b.Record(&trace.Record{Kind: trace.Start, Time: 2, Trans: 0, Deltas: []trace.Delta{{Place: 0, Change: -1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Record(&trace.Record{Kind: trace.Final, Time: 9}); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing may follow the final record.
+	after := []trace.Record{
+		{Kind: trace.End, Time: 9, Trans: 0, Deltas: []trace.Delta{{Place: 0, Change: 1}}},
+		{Kind: trace.Initial, Time: 9, Marking: petri.Marking{1}},
+		{Kind: trace.Final, Time: 10},
+	}
+	for _, rec := range after {
+		if err := b.Record(&rec); err == nil {
+			t.Errorf("%v record after final accepted", rec.Kind)
+		}
+	}
+	seq := b.Seq()
+	if seq.Len() != 2 || seq.FinalTime != 9 || seq.Time(1) != 2 {
+		t.Fatalf("%d states, final time %d", seq.Len(), seq.FinalTime)
+	}
+	if p, tr := seq.Place(0), seq.Trans(0); p[0] != 1 || p[1] != 0 || tr[0] != 0 || tr[1] != 1 {
+		t.Errorf("place column %v, transition column %v; want [1 0], [0 1]", p, tr)
 	}
 }

@@ -19,6 +19,17 @@
 // condition names where we require explicit comparisons ("Bus_busy(s)"
 // as a boolean); both are accepted — a bare application in boolean
 // position means "> 0".
+//
+// A Seq stores the states column by column: one []int per place and
+// per transition, all carved from one block laid out once when the
+// Builder's record log is complete, plus the state times. Eval compiles
+// the query against the Seq's header first, so every name resolves to
+// its column and every state variable to a frame slot before any state
+// is read. An inev whose conditions read only its own C is tabulated
+// once per Eval by one backward pass over the states, so each inev costs
+// O(n) per Eval rather than O(n) per bound state; an inev whose
+// conditions read an enclosing variable keeps the forward scan. Verdicts,
+// witnesses and errors are those of the plain tree-walking reading.
 package query
 
 import (
@@ -29,125 +40,183 @@ import (
 	"repro/internal/trace"
 )
 
-// State is one state of a trace: the marking and the concurrent-firing
-// counts after applying some prefix of the trace records.
-type State struct {
-	// Index is the state number; #0 is the initial state.
-	Index int
-	// Time is the simulation clock at which the state was entered.
-	Time petri.Time
-	// Marking holds tokens per place.
-	Marking petri.Marking
-	// Active holds concurrent firings per transition.
-	Active []int
-}
-
 // Seq is the full state sequence of a trace, as consumed by queries and
-// by Tracertool.
+// by Tracertool. State #i is the marking and the concurrent-firing
+// counts after applying the first i+1 state records of the trace.
 type Seq struct {
 	Header trace.Header
-	States []State
 	// FinalTime is the clock at the end of the run (from the Final
 	// record), which may exceed the time of the last state.
 	FinalTime petri.Time
+
+	times []petri.Time
+	// cols holds one column of Len() values per place, then one per
+	// transition.
+	cols []int
 }
 
 // Len returns the number of states.
-func (q *Seq) Len() int { return len(q.States) }
+func (q *Seq) Len() int { return len(q.times) }
 
-// Value resolves name in state st: place token count or transition
-// concurrent-firing count.
-func (q *Seq) Value(name string, st *State) (int64, bool) {
+// Time returns the simulation clock at which state i was entered.
+func (q *Seq) Time(i int) petri.Time { return q.times[i] }
+
+// Place returns the token count of place id in every state. The slice
+// is a read-only view into the sequence.
+func (q *Seq) Place(id petri.PlaceID) []int { return q.col(int(id)) }
+
+// Trans returns the concurrent-firing count of transition id in every
+// state. The slice is a read-only view into the sequence.
+func (q *Seq) Trans(id petri.TransID) []int { return q.col(len(q.Header.Places) + int(id)) }
+
+func (q *Seq) col(c int) []int {
+	n := len(q.times)
+	return q.cols[c*n : (c+1)*n : (c+1)*n]
+}
+
+// Column resolves name to its Place or Trans column; a place wins over
+// a transition of the same name.
+func (q *Seq) Column(name string) ([]int, bool) {
 	if id, ok := q.Header.PlaceID(name); ok {
-		return int64(st.Marking[id]), true
+		return q.Place(id), true
 	}
 	if id, ok := q.Header.TransID(name); ok {
-		return int64(st.Active[id]), true
+		return q.Trans(id), true
 	}
-	return 0, false
+	return nil, false
 }
 
 // KnownName reports whether name denotes a place or transition.
 func (q *Seq) KnownName(name string) bool {
-	if _, ok := q.Header.PlaceID(name); ok {
-		return true
-	}
-	_, ok := q.Header.TransID(name)
+	_, ok := q.Column(name)
 	return ok
 }
 
 // Builder accumulates a Seq from a record stream; it implements
 // trace.Observer so it can be driven directly by the simulator or by
-// trace.Copy from a stored trace.
+// trace.Copy from a stored trace. It logs each state record compactly
+// and lays the columns out once, in Seq.
 type Builder struct {
-	seq     Seq
-	marking petri.Marking
-	active  []int
+	header  trace.Header
+	initial petri.Marking
+	final   petri.Time
 	started bool
+	ended   bool // a Final record was seen
+
+	// One entry per state: its time, and the transition whose Start
+	// (id+1) or End (-(id+1)) record entered it; 0 for the initial state.
+	times []petri.Time
+	trans []int32
+	// The token deltas of state i are dPlace/dChange[dEnd[i-1]:dEnd[i]].
+	dEnd    []int32
+	dPlace  []int32
+	dChange []int
 }
 
 // NewBuilder returns a sequence builder for traces described by h.
 func NewBuilder(h trace.Header) *Builder {
-	return &Builder{
-		seq:    Seq{Header: h},
-		active: make([]int, len(h.Trans)),
-	}
+	return &Builder{header: h}
 }
 
-// Record implements trace.Observer.
+// Record implements trace.Observer. A record is validated in full
+// before it changes the builder: a rejected record leaves it as it was.
 func (b *Builder) Record(rec *trace.Record) error {
+	if b.ended {
+		return fmt.Errorf("query: %s record after the final record", rec.Kind)
+	}
 	switch rec.Kind {
 	case trace.Initial:
-		if len(rec.Marking) != len(b.seq.Header.Places) {
-			return fmt.Errorf("query: initial marking has %d places, header has %d",
-				len(rec.Marking), len(b.seq.Header.Places))
+		if b.started {
+			return fmt.Errorf("query: second initial record")
 		}
-		b.marking = rec.Marking.Clone()
+		if len(rec.Marking) != len(b.header.Places) {
+			return fmt.Errorf("query: initial marking has %d places, header has %d",
+				len(rec.Marking), len(b.header.Places))
+		}
+		b.initial = rec.Marking.Clone()
 		b.started = true
-		b.push(rec.Time)
+		b.push(rec.Time, 0)
 	case trace.Start, trace.End:
 		if !b.started {
 			return fmt.Errorf("query: trace event before initial state")
 		}
 		for _, d := range rec.Deltas {
-			if int(d.Place) >= len(b.marking) {
+			if d.Place < 0 || int(d.Place) >= len(b.header.Places) {
 				return fmt.Errorf("query: delta for unknown place %d", d.Place)
 			}
-			b.marking[d.Place] += d.Change
 		}
-		if int(rec.Trans) >= len(b.active) {
+		if rec.Trans < 0 || int(rec.Trans) >= len(b.header.Trans) {
 			return fmt.Errorf("query: event for unknown transition %d", rec.Trans)
 		}
-		if rec.Kind == trace.Start {
-			b.active[rec.Trans]++
-		} else {
-			b.active[rec.Trans]--
+		for _, d := range rec.Deltas {
+			b.dPlace = append(b.dPlace, int32(d.Place))
+			b.dChange = append(b.dChange, d.Change)
 		}
-		b.push(rec.Time)
+		t := int32(rec.Trans) + 1
+		if rec.Kind == trace.End {
+			t = -t
+		}
+		b.push(rec.Time, t)
 	case trace.Final:
-		b.seq.FinalTime = rec.Time
+		b.final = rec.Time
+		b.ended = true
 	default:
 		return fmt.Errorf("query: unknown record kind %q", rec.Kind)
 	}
 	return nil
 }
 
-func (b *Builder) push(t petri.Time) {
-	st := State{
-		Index:   len(b.seq.States),
-		Time:    t,
-		Marking: b.marking.Clone(),
-		Active:  append([]int(nil), b.active...),
-	}
-	b.seq.States = append(b.seq.States, st)
+func (b *Builder) push(t petri.Time, trans int32) {
+	b.times = append(b.times, t)
+	b.trans = append(b.trans, trans)
+	b.dEnd = append(b.dEnd, int32(len(b.dPlace)))
 }
 
-// Seq returns the accumulated sequence.
+// Seq lays the logged states out as columns and returns the sequence.
 func (b *Builder) Seq() *Seq {
-	if b.seq.FinalTime == 0 && len(b.seq.States) > 0 {
-		b.seq.FinalTime = b.seq.States[len(b.seq.States)-1].Time
+	n := len(b.times)
+	np := len(b.header.Places)
+	seq := &Seq{
+		Header:    b.header,
+		FinalTime: b.final,
+		times:     append(make([]petri.Time, 0, n), b.times...),
+		cols:      make([]int, (np+len(b.header.Trans))*n),
 	}
-	return &b.seq
+	if seq.FinalTime == 0 && n > 0 {
+		seq.FinalTime = b.times[n-1]
+	}
+	// Replay the log, writing each column value once per run of states
+	// over which it is constant: cur[c] has held since state since[c].
+	cur := make([]int, np+len(b.header.Trans))
+	since := make([]int, len(cur))
+	copy(cur, b.initial)
+	set := func(c, i, delta int) {
+		if s := since[c]; s < i {
+			fill(seq.cols[c*n+s:c*n+i], cur[c])
+			since[c] = i
+		}
+		cur[c] += delta
+	}
+	for i := 1; i < n; i++ {
+		for k := b.dEnd[i-1]; k < b.dEnd[i]; k++ {
+			set(int(b.dPlace[k]), i, b.dChange[k])
+		}
+		if t := int(b.trans[i]); t > 0 {
+			set(np+t-1, i, 1)
+		} else {
+			set(np-t-1, i, -1)
+		}
+	}
+	for c := range cur {
+		fill(seq.cols[c*n+since[c]:(c+1)*n], cur[c])
+	}
+	return seq
+}
+
+func fill(s []int, v int) {
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // SeqFromReader drains a stored trace into a Seq. It accepts either

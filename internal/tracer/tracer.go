@@ -64,12 +64,7 @@ func (t *Tracer) AddPlace(name string) error {
 	if !ok {
 		return fmt.Errorf("tracer: unknown place %q", name)
 	}
-	s := &Signal{Label: name}
-	s.values = make([]int64, len(t.seq.States))
-	for i := range t.seq.States {
-		s.values[i] = int64(t.seq.States[i].Marking[id])
-	}
-	t.finish(s)
+	t.addColumn(name, t.seq.Place(id))
 	return nil
 }
 
@@ -79,13 +74,17 @@ func (t *Tracer) AddTransition(name string) error {
 	if !ok {
 		return fmt.Errorf("tracer: unknown transition %q", name)
 	}
-	s := &Signal{Label: name}
-	s.values = make([]int64, len(t.seq.States))
-	for i := range t.seq.States {
-		s.values[i] = int64(t.seq.States[i].Active[id])
+	t.addColumn(name, t.seq.Trans(id))
+	return nil
+}
+
+// addColumn probes a copy of a Seq column.
+func (t *Tracer) addColumn(label string, col []int) {
+	s := &Signal{Label: label, values: make([]int64, len(col))}
+	for i, v := range col {
+		s.values[i] = int64(v)
 	}
 	t.finish(s)
-	return nil
 }
 
 // AddFunc probes a user-defined function: an expression over place and
@@ -106,21 +105,39 @@ func (t *Tracer) AddFunc(label, src string) error {
 		}
 	}
 	s := &Signal{Label: label}
-	s.values = make([]int64, len(t.seq.States))
-	env := expr.NewEnv(nil)
-	for i := range t.seq.States {
-		st := &t.seq.States[i]
-		env.External = func(name string) (int64, bool) {
-			return t.seq.Value(name, st)
-		}
+	s.values = make([]int64, t.seq.Len())
+	env, i := t.stateEnv(e)
+	for *i = range s.values {
 		v, err := e.Eval(env)
 		if err != nil {
-			return fmt.Errorf("tracer: function %q at state %d: %w", label, i, err)
+			return fmt.Errorf("tracer: function %q at state %d: %w", label, *i, err)
 		}
-		s.values[i] = v
+		s.values[*i] = v
 	}
 	t.finish(s)
 	return nil
+}
+
+// stateEnv returns an environment in which e's place and transition
+// names read their values in the state whose index is stored at the
+// returned pointer. Each name is resolved to its column once, here.
+func (t *Tracer) stateEnv(e expr.Expr) (*expr.Env, *int) {
+	cols := make(map[string][]int)
+	for _, n := range expr.Names(e) {
+		if col, ok := t.seq.Column(n); ok {
+			cols[n] = col
+		}
+	}
+	i := new(int)
+	env := expr.NewEnv(nil)
+	env.External = func(name string) (int64, bool) {
+		col, ok := cols[name]
+		if !ok {
+			return 0, false
+		}
+		return int64(col[*i]), true
+	}
+	return env, i
 }
 
 func (t *Tracer) finish(s *Signal) {
@@ -138,10 +155,8 @@ func (t *Tracer) Signals() []*Signal { return t.signals }
 // stateAt returns the index of the last state entered at or before time
 // tm (the value visible at tm), or -1 before the first state.
 func (t *Tracer) stateAt(tm petri.Time) int {
-	states := t.seq.States
 	// First state with Time > tm, minus one.
-	i := sort.Search(len(states), func(i int) bool { return states[i].Time > tm })
-	return i - 1
+	return sort.Search(t.seq.Len(), func(i int) bool { return t.seq.Time(i) > tm }) - 1
 }
 
 // MarkAt places a named marker at an absolute time.
@@ -157,21 +172,18 @@ func (t *Tracer) MarkWhen(name, src string, from petri.Time) (Marker, error) {
 	if err != nil {
 		return Marker{}, fmt.Errorf("tracer: trigger %q: %w", src, err)
 	}
-	env := expr.NewEnv(nil)
-	for i := range t.seq.States {
-		st := &t.seq.States[i]
-		if st.Time < from {
+	env, i := t.stateEnv(e)
+	for *i = 0; *i < t.seq.Len(); *i++ {
+		tm := t.seq.Time(*i)
+		if tm < from {
 			continue
-		}
-		env.External = func(name string) (int64, bool) {
-			return t.seq.Value(name, st)
 		}
 		v, err := e.Eval(env)
 		if err != nil {
-			return Marker{}, fmt.Errorf("tracer: trigger %q at state %d: %w", src, i, err)
+			return Marker{}, fmt.Errorf("tracer: trigger %q at state %d: %w", src, *i, err)
 		}
 		if v != 0 {
-			m := Marker{Name: name, Time: st.Time, State: i}
+			m := Marker{Name: name, Time: tm, State: *i}
 			t.markers = append(t.markers, m)
 			return m, nil
 		}
@@ -271,14 +283,13 @@ func (t *Tracer) Render(o RenderOptions) string {
 	for _, s := range t.signals {
 		fmt.Fprintf(&b, "%*s |", labelW, s.Label)
 		si := 0
-		states := t.seq.States
 		for c := 0; c < o.Width; c++ {
 			tm := colTime(c)
-			for si < len(states)-1 && states[si+1].Time <= tm {
+			for si < t.seq.Len()-1 && t.seq.Time(si+1) <= tm {
 				si++
 			}
 			var v int64
-			if si >= 0 && states[si].Time <= tm {
+			if si < t.seq.Len() && t.seq.Time(si) <= tm {
 				v = s.values[si]
 			}
 			b.WriteString(levelChar(v, s.max, o.Unicode))

@@ -53,11 +53,11 @@ func (t *Tracer) WriteVCD(w io.Writer, timescale string) error {
 	b.WriteString("$end\n")
 
 	// Emit the final value each signal holds at every distinct time.
-	states := t.seq.States
-	for si := 0; si < len(states); {
-		tm := states[si].Time
+	n := t.seq.Len()
+	for si := 0; si < n; {
+		tm := t.seq.Time(si)
 		end := si
-		for end < len(states) && states[end].Time == tm {
+		for end < n && t.seq.Time(end) == tm {
 			end++
 		}
 		lastIdx := end - 1
