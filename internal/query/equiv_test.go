@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/petri"
@@ -139,6 +142,107 @@ func TestSeqFromReaderAllocsPerState(t *testing.T) {
 	})
 	if per := allocs / float64(n); per >= 0.01 {
 		t.Errorf("SeqFromReader: %v allocs for %d states, %.4f per state", allocs, n, per)
+	}
+}
+
+// TestSeqIsASnapshot: a Seq keeps the states logged when it was taken.
+// Records the Builder takes afterwards, before any column of the first
+// Seq is laid out, change neither its length nor its values.
+func TestSeqIsASnapshot(t *testing.T) {
+	net, err := pipeline.Processor(pipeline.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := trace.HeaderOf(net)
+	var recs []trace.Record
+	collect := trace.ObserverFunc(func(rec *trace.Record) error {
+		recs = append(recs, rec.Clone())
+		return nil
+	})
+	if _, err := sim.Run(context.Background(), net, collect, sim.Options{Horizon: 2000, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	half := len(recs) / 2
+	feed := func(b *Builder, recs []trace.Record) {
+		for i := range recs {
+			if err := b.Record(&recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := NewBuilder(h)
+	feed(want, recs[:half])
+	b := NewBuilder(h)
+	feed(b, recs[:half])
+	early := b.Seq()
+	feed(b, recs[half:])
+	if late := b.Seq(); late.Len() <= early.Len() {
+		t.Fatalf("later Seq has %d states, earlier %d", late.Len(), early.Len())
+	}
+	ref := want.Seq()
+	if early.Len() != ref.Len() || early.FinalTime != ref.FinalTime {
+		t.Fatalf("snapshot has %d states ending at %d, want %d ending at %d",
+			early.Len(), early.FinalTime, ref.Len(), ref.FinalTime)
+	}
+	for p := range h.Places {
+		if got, want := early.Place(petri.PlaceID(p)), ref.Place(petri.PlaceID(p)); !slices.Equal(got, want) {
+			t.Fatalf("place %s changed after the snapshot", h.Places[p])
+		}
+	}
+	for tr := range h.Trans {
+		if got, want := early.Trans(petri.TransID(tr)), ref.Trans(petri.TransID(tr)); !slices.Equal(got, want) {
+			t.Fatalf("transition %s changed after the snapshot", h.Trans[tr])
+		}
+	}
+}
+
+// TestSeqConcurrentEval: goroutines that evaluate queries on one fresh
+// Seq race to lay out its columns; each gets the serial Results.
+func TestSeqConcurrentEval(t *testing.T) {
+	const horizon = 5000
+	var qs []*Query
+	for _, src := range paperQueries(horizon) {
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, q)
+	}
+	eval := func(seq *Seq) ([]Result, error) {
+		out := make([]Result, len(qs))
+		for i, q := range qs {
+			r, err := q.Eval(seq)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = r
+		}
+		return out, nil
+	}
+	serial, _ := pipelineSeqs(t, horizon, 9)
+	want, err := eval(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, _ := pipelineSeqs(t, horizon, 9)
+	got := make([][]Result, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = eval(shared)
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if !reflect.DeepEqual(got[g], want) {
+			t.Errorf("goroutine %d: %+v, serial %+v", g, got[g], want)
+		}
 	}
 }
 

@@ -130,12 +130,15 @@ func TestUnboundVariableInComprehension(t *testing.T) {
 // already firing in state #0.
 func tableSeq(places, trans []string, rows [][]int) *Seq {
 	n := len(rows)
-	seq := &Seq{times: make([]petri.Time, n), cols: make([]int, (len(places)+len(trans))*n)}
+	seq := &Seq{times: make([]petri.Time, n), cols: make([][]int, len(places)+len(trans))}
 	seq.Header.Places = places
 	seq.Header.Trans = trans
+	for c := range seq.cols {
+		seq.cols[c] = make([]int, n)
+	}
 	for i, row := range rows {
 		for c, v := range row {
-			seq.cols[c*n+i] = v
+			seq.cols[c][i] = v
 		}
 	}
 	return seq

@@ -21,20 +21,25 @@
 // position means "> 0".
 //
 // A Seq stores the states column by column: one []int per place and
-// per transition, all carved from one block laid out once when the
-// Builder's record log is complete, plus the state times. Eval compiles
+// per transition, plus the state times. It holds the Builder's compact
+// record log and replays a column from it the first time the column is
+// read, so a query pays only for the places and transitions it names:
+// usually a handful of a net's, as Section 4.1 observes. Eval compiles
 // the query against the Seq's header first, so every name resolves to
 // its column and every state variable to a frame slot before any state
-// is read. An inev whose conditions read only its own C is tabulated
-// once per Eval by one backward pass over the states, so each inev costs
-// O(n) per Eval rather than O(n) per bound state; an inev whose
-// conditions read an enclosing variable keeps the forward scan. Verdicts,
-// witnesses and errors are those of the plain tree-walking reading.
+// is read; the columns are laid out then, under the Seq's lock, and the
+// evaluation loop reads them without one. An inev whose conditions read
+// only its own C is tabulated once per Eval by one backward pass over
+// the states, so each inev costs O(n) per Eval rather than O(n) per
+// bound state; an inev whose conditions read an enclosing variable keeps
+// the forward scan. Verdicts, witnesses and errors are those of the
+// plain tree-walking reading.
 package query
 
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/petri"
 	"repro/internal/trace"
@@ -43,16 +48,28 @@ import (
 // Seq is the full state sequence of a trace, as consumed by queries and
 // by Tracertool. State #i is the marking and the concurrent-firing
 // counts after applying the first i+1 state records of the trace.
+//
+// A Seq is safe for concurrent use. Its columns are laid out lazily, on
+// first read, and cached.
 type Seq struct {
 	Header trace.Header
 	// FinalTime is the clock at the end of the run (from the Final
 	// record), which may exceed the time of the last state.
 	FinalTime petri.Time
 
-	times []petri.Time
+	// The Builder's log as it stood when Seq was called, clipped to its
+	// length: the Builder only appends past it, so it never changes.
+	times   []petri.Time
+	initial petri.Marking
+	trans   []int32
+	dEnd    []int32
+	dPlace  []int32
+	dChange []int
+
+	mu sync.Mutex
 	// cols holds one column of Len() values per place, then one per
-	// transition.
-	cols []int
+	// transition; nil until first read.
+	cols [][]int
 }
 
 // Len returns the number of states.
@@ -69,9 +86,51 @@ func (q *Seq) Place(id petri.PlaceID) []int { return q.col(int(id)) }
 // state. The slice is a read-only view into the sequence.
 func (q *Seq) Trans(id petri.TransID) []int { return q.col(len(q.Header.Places) + int(id)) }
 
+// col returns column c, replaying it from the log on first read.
 func (q *Seq) col(c int) []int {
-	n := len(q.times)
-	return q.cols[c*n : (c+1)*n : (c+1)*n]
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.cols == nil {
+		q.cols = make([][]int, len(q.Header.Places)+len(q.Header.Trans))
+	}
+	if q.cols[c] == nil {
+		q.cols[c] = q.replay(c)
+	}
+	return q.cols[c]
+}
+
+// replay lays out column c: a place's count starts at its initial
+// marking and moves by its deltas, a transition's by one at each Start
+// and End.
+func (q *Seq) replay(c int) []int {
+	col := make([]int, len(q.times))
+	if len(col) == 0 {
+		return col
+	}
+	np := len(q.Header.Places)
+	if c < np {
+		v, k := q.initial[c], int32(0)
+		for i, end := range q.dEnd {
+			for ; k < end; k++ {
+				if int(q.dPlace[k]) == c {
+					v += q.dChange[k]
+				}
+			}
+			col[i] = v
+		}
+		return col
+	}
+	id, v := int32(c-np)+1, 0
+	for i, t := range q.trans {
+		switch t {
+		case id:
+			v++
+		case -id:
+			v--
+		}
+		col[i] = v
+	}
+	return col
 }
 
 // Column resolves name to its Place or Trans column; a place wins over
@@ -88,14 +147,17 @@ func (q *Seq) Column(name string) ([]int, bool) {
 
 // KnownName reports whether name denotes a place or transition.
 func (q *Seq) KnownName(name string) bool {
-	_, ok := q.Column(name)
+	if _, ok := q.Header.PlaceID(name); ok {
+		return true
+	}
+	_, ok := q.Header.TransID(name)
 	return ok
 }
 
 // Builder accumulates a Seq from a record stream; it implements
 // trace.Observer so it can be driven directly by the simulator or by
-// trace.Copy from a stored trace. It logs each state record compactly
-// and lays the columns out once, in Seq.
+// trace.Copy from a stored trace. It logs each state record compactly;
+// a Seq replays its columns from that log.
 type Builder struct {
 	header  trace.Header
 	initial petri.Marking
@@ -172,51 +234,26 @@ func (b *Builder) push(t petri.Time, trans int32) {
 	b.dEnd = append(b.dEnd, int32(len(b.dPlace)))
 }
 
-// Seq lays the logged states out as columns and returns the sequence.
+// Seq returns the sequence of the states logged so far. It shares the
+// log rather than copying it: records the Builder takes afterwards do
+// not change the returned Seq.
 func (b *Builder) Seq() *Seq {
 	n := len(b.times)
-	np := len(b.header.Places)
+	nd := len(b.dPlace)
 	seq := &Seq{
 		Header:    b.header,
 		FinalTime: b.final,
-		times:     append(make([]petri.Time, 0, n), b.times...),
-		cols:      make([]int, (np+len(b.header.Trans))*n),
+		times:     b.times[:n:n],
+		initial:   b.initial,
+		trans:     b.trans[:n:n],
+		dEnd:      b.dEnd[:n:n],
+		dPlace:    b.dPlace[:nd:nd],
+		dChange:   b.dChange[:nd:nd],
 	}
 	if seq.FinalTime == 0 && n > 0 {
 		seq.FinalTime = b.times[n-1]
 	}
-	// Replay the log, writing each column value once per run of states
-	// over which it is constant: cur[c] has held since state since[c].
-	cur := make([]int, np+len(b.header.Trans))
-	since := make([]int, len(cur))
-	copy(cur, b.initial)
-	set := func(c, i, delta int) {
-		if s := since[c]; s < i {
-			fill(seq.cols[c*n+s:c*n+i], cur[c])
-			since[c] = i
-		}
-		cur[c] += delta
-	}
-	for i := 1; i < n; i++ {
-		for k := b.dEnd[i-1]; k < b.dEnd[i]; k++ {
-			set(int(b.dPlace[k]), i, b.dChange[k])
-		}
-		if t := int(b.trans[i]); t > 0 {
-			set(np+t-1, i, 1)
-		} else {
-			set(np-t-1, i, -1)
-		}
-	}
-	for c := range cur {
-		fill(seq.cols[c*n+since[c]:(c+1)*n], cur[c])
-	}
 	return seq
-}
-
-func fill(s []int, v int) {
-	for i := range s {
-		s[i] = v
-	}
 }
 
 // SeqFromReader drains a stored trace into a Seq. It accepts either

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/petri"
 )
@@ -161,14 +164,20 @@ func (tw *Writer) Flush() error {
 	return nil
 }
 
-// Reader parses the text format as a stream.
+// Reader parses the text format as a stream. Record lines are decoded
+// in place from the scanner's buffer into storage the Reader reuses, so
+// reading a trace allocates per trace, not per record; see
+// RecordReader.Next for what that means for callers.
 type Reader struct {
 	s      *bufio.Scanner
 	h      Header
 	gotHdr bool
 	line   int
-	// pending holds a record line consumed while scanning past the header.
-	pending string
+	// pending holds a record line consumed while scanning past the
+	// header. It views the scanner's buffer, so it is valid until the
+	// next scan, which only Next makes once pending is used.
+	pending []byte
+	deltas  []Delta // deltas of the current record
 }
 
 // NewReader wraps r. The header is parsed lazily by Header or the first
@@ -183,16 +192,27 @@ func (tr *Reader) errf(format string, args ...any) error {
 	return fmt.Errorf("trace: line %d: %s", tr.line, fmt.Sprintf(format, args...))
 }
 
-func (tr *Reader) scan() (string, bool) {
+// scan returns the next line that is neither blank nor a comment,
+// trimmed. The line views the scanner's buffer.
+func (tr *Reader) scan() ([]byte, bool) {
 	for tr.s.Scan() {
 		tr.line++
-		line := strings.TrimSpace(tr.s.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(tr.s.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
 		return line, true
 	}
-	return "", false
+	return nil, false
+}
+
+// scanErr reports why the last scan failed: the read error, if any,
+// wrapped with the number of the line that could not be read.
+func (tr *Reader) scanErr() error {
+	if err := tr.s.Err(); err != nil {
+		return fmt.Errorf("trace: line %d: %w", tr.line+1, err)
+	}
+	return nil
 }
 
 // Header parses (if needed) and returns the trace header.
@@ -200,51 +220,64 @@ func (tr *Reader) Header() (Header, error) {
 	if tr.gotHdr {
 		return tr.h, nil
 	}
-	line, ok := tr.scan()
+	b, ok := tr.scan()
 	if !ok {
+		if err := tr.scanErr(); err != nil {
+			return Header{}, err
+		}
 		return Header{}, tr.errf("empty trace")
 	}
-	if line != "pnut-trace 1" {
+	if line := string(b); line != "pnut-trace 1" {
 		return Header{}, tr.errf("bad magic %q", line)
 	}
-	line, ok = tr.scan()
+	b, ok = tr.scan()
+	if !ok {
+		if err := tr.scanErr(); err != nil {
+			return Header{}, err
+		}
+	}
+	line := string(b)
 	if !ok || !strings.HasPrefix(line, "net ") {
 		return Header{}, tr.errf("expected net line, got %q", line)
 	}
 	tr.h.Net = strings.TrimPrefix(line, "net ")
 	for {
-		line, ok = tr.scan()
+		b, ok = tr.scan()
 		if !ok {
+			if err := tr.scanErr(); err != nil {
+				return Header{}, err
+			}
 			break
 		}
-		fields := strings.Fields(line)
-		if len(fields) == 3 && (fields[0] == "place" || fields[0] == "trans") {
-			id, err := strconv.Atoi(fields[1])
+		var fields [4][]byte
+		if split(b, &fields) == 3 && (string(fields[0]) == "place" || string(fields[0]) == "trans") {
+			id, err := strconv.Atoi(string(fields[1]))
 			if err != nil {
-				return Header{}, tr.errf("bad id in %q", line)
+				return Header{}, tr.errf("bad id in %q", b)
 			}
-			if fields[0] == "place" {
+			if string(fields[0]) == "place" {
 				if id != len(tr.h.Places) {
-					return Header{}, tr.errf("place ids out of order at %q", line)
+					return Header{}, tr.errf("place ids out of order at %q", b)
 				}
-				tr.h.Places = append(tr.h.Places, fields[2])
+				tr.h.Places = append(tr.h.Places, string(fields[2]))
 			} else {
 				if id != len(tr.h.Trans) {
-					return Header{}, tr.errf("trans ids out of order at %q", line)
+					return Header{}, tr.errf("trans ids out of order at %q", b)
 				}
-				tr.h.Trans = append(tr.h.Trans, fields[2])
+				tr.h.Trans = append(tr.h.Trans, string(fields[2]))
 			}
 			continue
 		}
 		// First record line: stash it for Next.
-		tr.pending = line
+		tr.pending = b
 		break
 	}
 	tr.gotHdr = true
 	return tr.h, nil
 }
 
-// Next returns the next record, or io.EOF after the last one.
+// Next returns the next record, or io.EOF after the last one. The
+// record's Deltas view the Reader's storage, valid until the next call.
 func (tr *Reader) Next() (Record, error) {
 	if !tr.gotHdr {
 		if _, err := tr.Header(); err != nil {
@@ -252,8 +285,8 @@ func (tr *Reader) Next() (Record, error) {
 		}
 	}
 	line := tr.pending
-	tr.pending = ""
-	if line == "" {
+	tr.pending = nil
+	if line == nil {
 		var ok bool
 		line, ok = tr.scan()
 		if !ok {
@@ -263,20 +296,21 @@ func (tr *Reader) Next() (Record, error) {
 			return Record{}, io.EOF
 		}
 	}
-	fields := strings.Fields(line)
-	if len(fields) < 2 {
+	var fields [4][]byte
+	nf := split(line, &fields)
+	if nf < 2 {
 		return Record{}, tr.errf("short record %q", line)
 	}
-	t, err := strconv.ParseInt(fields[1], 10, 64)
+	t, err := strconv.ParseInt(string(fields[1]), 10, 64)
 	if err != nil {
 		return Record{}, tr.errf("bad time in %q", line)
 	}
-	switch fields[0] {
+	switch string(fields[0]) {
 	case "I":
-		if len(fields) != 3 {
+		if nf != 3 {
 			return Record{}, tr.errf("bad initial record %q", line)
 		}
-		m, err := petri.ParseMarking(fields[2])
+		m, err := petri.ParseMarking(string(fields[2]))
 		if err != nil {
 			return Record{}, tr.errf("%v", err)
 		}
@@ -285,28 +319,28 @@ func (tr *Reader) Next() (Record, error) {
 		}
 		return Record{Kind: Initial, Time: t, Marking: m}, nil
 	case "S", "E":
-		if len(fields) != 4 {
+		if nf != 4 {
 			return Record{}, tr.errf("bad event record %q", line)
 		}
-		id, err := strconv.Atoi(fields[2])
+		id, err := strconv.Atoi(string(fields[2]))
 		if err != nil || id < 0 || id >= len(tr.h.Trans) {
 			return Record{}, tr.errf("bad transition id in %q", line)
 		}
-		deltas, err := parseDeltas(fields[3], len(tr.h.Places))
+		deltas, err := tr.parseDeltas(fields[3])
 		if err != nil {
 			return Record{}, tr.errf("%v", err)
 		}
 		k := Start
-		if fields[0] == "E" {
+		if fields[0][0] == 'E' {
 			k = End
 		}
 		return Record{Kind: k, Time: t, Trans: petri.TransID(id), Deltas: deltas}, nil
 	case "F":
-		if len(fields) != 4 {
+		if nf != 4 {
 			return Record{}, tr.errf("bad final record %q", line)
 		}
-		starts, err1 := strconv.ParseInt(fields[2], 10, 64)
-		ends, err2 := strconv.ParseInt(fields[3], 10, 64)
+		starts, err1 := strconv.ParseInt(string(fields[2]), 10, 64)
+		ends, err2 := strconv.ParseInt(string(fields[3]), 10, 64)
 		if err1 != nil || err2 != nil {
 			return Record{}, tr.errf("bad counters in %q", line)
 		}
@@ -315,35 +349,84 @@ func (tr *Reader) Next() (Record, error) {
 	return Record{}, tr.errf("unknown record %q", line)
 }
 
-func parseDeltas(s string, numPlaces int) ([]Delta, error) {
-	if s == "-" {
-		return nil, nil
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// split cuts line around runs of Unicode white space, as strings.Fields
+// does. It stores the first len(f) fields, which view line, in f and
+// returns the number of fields.
+func split(line []byte, f *[4][]byte) int {
+	n, start := 0, -1
+	for i := 0; i < len(line); {
+		c, w := line[i], 1
+		space := asciiSpace[c]
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, w = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		if !space {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			if n < len(f) {
+				f[n] = line[start:i]
+			}
+			n++
+			start = -1
+		}
+		i += w
 	}
-	parts := strings.Split(s, ",")
-	out := make([]Delta, 0, len(parts))
-	for _, p := range parts {
-		i := strings.IndexByte(p, ':')
+	if start >= 0 {
+		if n < len(f) {
+			f[n] = line[start:]
+		}
+		n++
+	}
+	return n
+}
+
+// parseDeltas decodes a comma-separated delta list ("-" for none) into
+// the Reader's delta storage.
+func (tr *Reader) parseDeltas(s []byte) ([]Delta, error) {
+	out := tr.deltas[:0]
+	if string(s) == "-" {
+		return out, nil
+	}
+	for more := true; more; {
+		p := s
+		if j := bytes.IndexByte(s, ','); j >= 0 {
+			p, s = s[:j], s[j+1:]
+		} else {
+			more = false
+		}
+		i := bytes.IndexByte(p, ':')
 		if i < 0 {
 			return nil, fmt.Errorf("bad delta %q", p)
 		}
-		place, err := strconv.Atoi(p[:i])
-		if err != nil || place < 0 || place >= numPlaces {
+		place, err := strconv.Atoi(string(p[:i]))
+		if err != nil || place < 0 || place >= len(tr.h.Places) {
 			return nil, fmt.Errorf("bad place in delta %q", p)
 		}
-		change, err := strconv.Atoi(p[i+1:])
+		change, err := strconv.Atoi(string(p[i+1:]))
 		if err != nil || change == 0 {
 			return nil, fmt.Errorf("bad change in delta %q", p)
 		}
 		out = append(out, Delta{Place: petri.PlaceID(place), Change: change})
 	}
+	tr.deltas = out
 	return out, nil
 }
 
 // Copy streams every record from r into obs, returning the record count.
+// One Record carries the whole stream, so Copy allocates per call, not
+// per record.
 func Copy(r RecordReader, obs Observer) (int, error) {
-	n := 0
-	for {
-		rec, err := r.Next()
+	var rec Record
+	for n := 0; ; n++ {
+		var err error
+		rec, err = r.Next()
 		if err == io.EOF {
 			return n, nil
 		}
@@ -353,6 +436,5 @@ func Copy(r RecordReader, obs Observer) (int, error) {
 		if err := obs.Record(&rec); err != nil {
 			return n, err
 		}
-		n++
 	}
 }

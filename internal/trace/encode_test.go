@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/petri"
 )
@@ -89,6 +91,28 @@ func TestReaderHugeLineRejectedGracefully(t *testing.T) {
 	}
 }
 
+// TestReaderHeaderSurfacesReadErrors: a read error while the header is
+// parsed is reported as itself, with the number of the line it hit, and
+// not as a malformed header.
+func TestReaderHeaderSurfacesReadErrors(t *testing.T) {
+	boom := errors.New("disk on fire")
+	long := "pnut-trace 1\nnet " + strings.Repeat("x", 17<<20) + "\n"
+	for _, c := range []struct {
+		name string
+		r    io.Reader
+		want error
+		line string
+	}{
+		{"read error", iotest.ErrReader(boom), boom, "line 1:"},
+		{"over-long net line", strings.NewReader(long), bufio.ErrTooLong, "line 2:"},
+	} {
+		_, err := NewReader(c.r).Header()
+		if !errors.Is(err, c.want) || !strings.Contains(err.Error(), c.line) {
+			t.Errorf("%s: Header error %v, want %v at %s", c.name, err, c.want, c.line)
+		}
+	}
+}
+
 func TestCollectCloneIndependence(t *testing.T) {
 	c := NewCollect(header())
 	m := petri.Marking{1, 2, 3}
@@ -162,6 +186,37 @@ func BenchmarkWriter(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkReader measures the text decode path, mirroring
+// BenchmarkWriter: the shared benchmark trace decoded record by record.
+func BenchmarkReader(b *testing.B) {
+	h, recs := benchTrace(b)
+	var buf bytes.Buffer
+	w := NewWriter(&buf, h, false)
+	for i := range recs {
+		if err := w.Record(&recs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	enc := buf.Bytes()
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := NewReader(bytes.NewReader(enc))
+		n, err := Copy(r, Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n != len(recs) {
+			b.Fatalf("decoded %d records, want %d", n, len(recs))
+		}
+	}
+	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // TestWriterErrorIsSticky: after a downstream write error the writer

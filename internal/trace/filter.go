@@ -13,10 +13,15 @@ import "fmt"
 // This is the P-NUT filtering tool of Section 4.1: "usually only a
 // handful of places and transitions are of interest in performing a
 // particular analysis".
+//
+// The filter reuses one output record and its delta storage for every
+// record it passes, so filtering allocates per trace, not per record.
 type Filter struct {
 	Next      Observer
 	keepPlace []bool
 	keepTrans []bool
+	out       Record
+	deltas    []Delta
 }
 
 // NewFilter builds a filter over traces described by h keeping the named
@@ -62,24 +67,25 @@ func (f *Filter) Record(rec *Record) error {
 				m[i] = 0
 			}
 		}
-		out := *rec
-		out.Marking = m
-		return f.Next.Record(&out)
+		f.out = *rec
+		f.out.Marking = m
+		return f.Next.Record(&f.out)
 	case Final:
 		return f.Next.Record(rec)
 	case Start, End:
-		var deltas []Delta
+		deltas := f.deltas[:0]
 		for _, d := range rec.Deltas {
 			if f.keepPlace[d.Place] {
 				deltas = append(deltas, d)
 			}
 		}
+		f.deltas = deltas
 		if !f.keepTrans[rec.Trans] && len(deltas) == 0 {
 			return nil
 		}
-		out := *rec
-		out.Deltas = deltas
-		return f.Next.Record(&out)
+		f.out = *rec
+		f.out.Deltas = deltas
+		return f.Next.Record(&f.out)
 	}
 	return fmt.Errorf("trace: filter saw unknown record kind %q", rec.Kind)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -165,6 +167,100 @@ func FuzzColRoundTrip(f *testing.F) {
 		}
 		if t2 := reEncode(back); !bytes.Equal(t1, t2) {
 			t.Fatalf("text->col->text not identity:\n%q\nvs\n%q", t1, t2)
+		}
+	})
+}
+
+// drainText decodes a whole text trace, cloning each record, and stops
+// at the first error.
+func drainText(r RecordReader) (Header, []Record, error) {
+	h, err := r.Header()
+	if err != nil {
+		return h, nil, err
+	}
+	var recs []Record
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return h, recs, nil
+		}
+		if err != nil {
+			return h, recs, err
+		}
+		recs = append(recs, rec.Clone())
+	}
+}
+
+// FuzzTextReader holds the in-place text decoder to the frozen oracle
+// of oracle_test.go: for any input, the same header, the same records
+// and the same error text. The seeds cover what the two split and parse
+// differently if they disagree at all: Unicode white space, comments,
+// signs, overflow, empty and zero deltas, and out-of-range ids.
+func FuzzTextReader(f *testing.F) {
+	for _, events := range []int{0, 5, 80} {
+		rng := rand.New(rand.NewSource(int64(events)))
+		h, recs := genTrace(rng, events)
+		var buf bytes.Buffer
+		w := NewWriter(&buf, h, false)
+		for i := range recs {
+			if err := w.Record(&recs[i]); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	const head = "pnut-trace 1\nnet n\nplace 0 a\nplace 1 b\ntrans 0 t\ntrans 1 u\n"
+	for _, body := range []string{
+		"# c\n\nI 0 3,0\n\t\n# mid\nS 1 0 0:-1\nE 2 0 1:+1\nF 3 1 1\n",
+		"I\t0\t3,0\nS 1\t0\t0:-1,1:+2\r\nF 3 1 1\n",
+		"I 0 3,0\nS 1 0 0:-1 \nE\u00852 0 -\n\u3000F 3 1 1\n",
+		"I\u00a00\u00a03,0\nS 1\u20030 0:-1\u2003\nF\u20033 1 1\n",
+		"I 0 3,0\nS 1 0 -\nE 1 1 -\n",
+		"I 0 3,0\nS 1 0 0:+0\n",
+		"I 0 3,0\nS 1 0 0:-0\n",
+		"I 0 3,0\nS 1 2 0:+1\n",
+		"I 0 3,0\nS 1 -1 0:+1\n",
+		"I 0 3,0\nE 1 0 2:+1\n",
+		"I 0 3,0\nE 1 0 -1:+1\n",
+		"I +0 +3,-0\nS +1 +0 +0:+1,+1:-2\nF +3 +1 -1\n",
+		"I 0 3,0\nS 99999999999999999999 0 -\n",
+		"I 0 3,0\nS 1 0 0:+9223372036854775808\n",
+		"I 0 3,0\nF 1 9223372036854775808 0\n",
+		"I 0 3,,0\n",
+		"I 0 3\n",
+		"I 0 3,0\nS 1 0 0:+1,\n",
+		"I 0 3,0\nS 1 0 ,0:+1\n",
+		"I 0 3,0\nS 1 0 0:+1:2\n",
+		"I 0 3,0\nS 1 0 0+1\n",
+		"I 0 3,0\nS 1 0 0:+1 # trailing\n",
+		"I 0 3,0\nS\n",
+		"I 0 3,0\nX 1 0 -\n",
+		"I 0 3,0\nS 1 0 0:\xff1\n",
+		"I 0 3\xa0,0\n",
+	} {
+		f.Add(head + body)
+	}
+	f.Add("")
+	f.Add("pnut-trace 2\n")
+	f.Add("pnut-trace 1\nplace 0 a\n")
+	f.Add("pnut-trace 1\nnet n\nplace 0 a\n")
+	f.Add("pnut-trace 1\nnet n\nplace 1 a\n")
+	f.Add("pnut-trace 1\nnet n\nplace +0 a\ntrans x t\n")
+
+	f.Fuzz(func(t *testing.T, src string) {
+		wantH, want, wantErr := drainText(newOracleReader(strings.NewReader(src)))
+		gotH, got, gotErr := drainText(NewReader(strings.NewReader(src)))
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("error %v, oracle %v", gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(gotH, wantH) {
+			t.Fatalf("header %+v, oracle %+v", gotH, wantH)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("records %+v, oracle %+v", got, want)
 		}
 	})
 }

@@ -13,6 +13,13 @@ type RecordReader interface {
 	// Header parses (if needed) and returns the trace header.
 	Header() (Header, error)
 	// Next returns the next record, or io.EOF after the last one.
+	//
+	// The record's Deltas (and, for the columnar reader, any of its
+	// slices) may view storage the reader reuses: they are valid only
+	// until the next call. Clone a record to keep it. This is the
+	// Observer contract, so a record can go straight from Next to an
+	// Observer, as Copy does, and decoding allocates per trace or per
+	// block rather than per record.
 	Next() (Record, error)
 }
 

@@ -16,6 +16,13 @@
 // full-trace analysis at production sweep sizes). OpenReader sniffs the
 // magic bytes and returns whichever reader matches.
 //
+// Records are lent, not given: an Observer must not keep a record or its
+// slices past the call, and a record from RecordReader.Next is valid
+// only until the next call (Clone one to keep it). Both decoders and the
+// Filter reuse their record storage on that contract, so a stored trace
+// streams through decode, filter and analysis without allocating per
+// record.
+//
 // The text encoding is line oriented:
 //
 //	pnut-trace 1
