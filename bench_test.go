@@ -668,19 +668,26 @@ func BenchmarkEngineReuse(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures raw engine speed on the
-// pipeline model: simulated cycles per wall-clock second drive every
+// pipeline model, one fresh paper-length run per iteration: events
+// (completed firings) per wall-clock second, nanoseconds per event and
+// simulated cycles per wall-clock second, the rate that drives every
 // experiment above.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	net := mustProcessor(b, pipeline.DefaultParams())
 	var events int64
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sim.Run(context.Background(), net, nil, sim.Options{Horizon: paperCycles, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		events = res.Ends
+		events += res.Ends
 	}
-	b.ReportMetric(float64(events)*float64(b.N)/float64(b.N), "events_per_run")
+	sec := b.Elapsed().Seconds()
+	b.ReportMetric(float64(events)/sec, "events/s")
+	b.ReportMetric(sec*1e9/float64(events), "ns/event")
+	b.ReportMetric(float64(b.N)*paperCycles/sec, "cycles/s")
 }
 
 // TestBenchmarkShapesHold is a fast correctness gate over the same

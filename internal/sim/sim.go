@@ -26,18 +26,32 @@
 // it, and entries whose generation no longer matches are discarded when
 // they surface. The set of transitions ready to fire *now* (the ripe
 // set) is maintained incrementally from enablement refreshes instead of
-// being rebuilt by a full transition scan per firing, kept in ascending
-// transition-id order so conflict resolution consumes random numbers in
-// exactly the order of the original scanning engine. Per event the
-// engine does O(log E) heap work plus O(neighborhood) refresh work,
-// instead of O(T) scans — and the firing path allocates nothing once
-// the engine's buffers are warm.
+// being rebuilt by a full transition scan per firing. It is a bitset
+// over transition ids, so joining or leaving it is one bit operation,
+// and conflict resolution walks the set bits in ascending id, consuming
+// random numbers in exactly the order of the original scanning engine.
+//
+// Which transitions to re-check after a firing starts or ends is fixed
+// by the net, so NewEngine precomputes one refresh list per (transition,
+// start|end): the Affected lists of its input (start) or output (end)
+// places, concatenated in arc order. A predicate-free transition is
+// kept only at its first occurrence — refreshing it again cannot change
+// anything, since a refresh never changes the marking. Every repeat of
+// a predicated transition is kept: a predicate may call irand, so each
+// evaluation draws from the run's random source, and dropping one would
+// shift every later draw.
+//
+// Per event the engine does O(log E) heap work plus O(neighborhood)
+// refresh work, instead of O(T) scans — and the firing path allocates
+// nothing once the engine's buffers are warm.
 //
 // Determinism contract: for equal seeds the engine produces bit-equal
 // traces — equal-time completions complete in firing-start order,
 // equal-time ripenings join the ripe set before conflict resolution,
-// and the ripe set is always iterated in ascending transition id. The
-// frozen linear-scan engine in oracle_test.go pins this contract.
+// the ripe set is always iterated in ascending transition id, and every
+// predicate is evaluated as many times, in the same order, as by the
+// original engine. The frozen linear-scan engine in oracle_test.go pins
+// this contract.
 //
 // The engine knows nothing about analysis: it emits trace records to an
 // Observer (package trace), which may be a file writer, a statistics
@@ -48,6 +62,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/expr"
@@ -128,11 +143,11 @@ type transState struct {
 const ctxCheckBatch = 4096
 
 // Engine is a reusable simulator for one immutable net. A fresh Engine
-// is cheap — the net's Affected/Predicated indexes are precomputed at
-// Build time — but replication drivers (package experiment) run many
-// short experiments back to back, so Run resets and reuses the engine's
-// state vectors, event heap and scratch buffers instead of reallocating
-// them.
+// is cheap — its refresh lists are one pass over the net's Affected
+// index, precomputed at Build time — but replication drivers (package
+// experiment) run many short experiments back to back, so Run resets
+// and reuses the engine's state vectors, event heap and scratch buffers
+// instead of reallocating them.
 //
 // An Engine is not safe for concurrent use; give each goroutine its
 // own (see NewEngine).
@@ -154,10 +169,16 @@ type Engine struct {
 	stale int
 	seq   int64
 
-	// ripeList is the current ripe set in ascending transition id;
-	// ripePos[t] is t's index in it, -1 when absent.
-	ripeList []petri.TransID
-	ripePos  []int32
+	// ripe is the current ripe set, one bit per transition id; nripe
+	// counts its members.
+	ripe  []uint64
+	nripe int
+
+	// refList holds the refresh lists back to back: the list for a
+	// firing start of t is refList[refOff[2t]:refOff[2t+1]], for its end
+	// refList[refOff[2t+1]:refOff[2t+2]].
+	refOff  []int32
+	refList []petri.TransID
 
 	// effFreq caches EffFreq per transition: the hot loop reads it as a
 	// dense slice instead of chasing into the Transition structs.
@@ -170,7 +191,8 @@ type Engine struct {
 	deltas []trace.Delta
 	// rec is the scratch record reused for every emitted event, so the
 	// firing path allocates nothing per event (observers must not retain
-	// records, see trace.Observer).
+	// records, see trace.Observer). Start and End records assign only
+	// the fields they carry.
 	rec trace.Record
 }
 
@@ -179,20 +201,61 @@ type Engine struct {
 func NewEngine(net *petri.Net) *Engine {
 	src := rand.NewSource(0)
 	e := &Engine{
-		net:      net,
-		src:      src,
-		rng:      rand.New(src),
-		m:        make(petri.Marking, net.NumPlaces()),
-		ts:       make([]transState, net.NumTrans()),
-		ripeList: make([]petri.TransID, 0, net.NumTrans()),
-		ripePos:  make([]int32, net.NumTrans()),
-		effFreq:  make([]float64, net.NumTrans()),
+		net:     net,
+		src:     src,
+		rng:     rand.New(src),
+		m:       make(petri.Marking, net.NumPlaces()),
+		ts:      make([]transState, net.NumTrans()),
+		ripe:    make([]uint64, (net.NumTrans()+63)/64),
+		effFreq: make([]float64, net.NumTrans()),
 	}
 	for i := range e.effFreq {
 		e.effFreq[i] = net.Trans[i].EffFreq()
 	}
+	e.buildRefreshLists()
 	e.env = net.NewEnv(e.rng)
 	return e
+}
+
+// buildRefreshLists precomputes the per-(transition, start|end) refresh
+// lists described in the package comment.
+func (e *Engine) buildRefreshLists() {
+	n := e.net.NumTrans()
+	size := 0 // the lists' total length before deduplication
+	for t := range e.net.Trans {
+		for _, a := range e.net.Trans[t].In {
+			size += len(e.net.Affected(a.Place))
+		}
+		for _, a := range e.net.Trans[t].Out {
+			size += len(e.net.Affected(a.Place))
+		}
+	}
+	e.refOff = make([]int32, 2*n+1)
+	e.refList = make([]petri.TransID, 0, size)
+	// lastList[u] is the last list u was appended to, so a predicate-free
+	// transition is kept only at its first occurrence in each list.
+	lastList := make([]int, n)
+	for i := range lastList {
+		lastList[i] = -1
+	}
+	for t := range e.net.Trans {
+		tr := &e.net.Trans[t]
+		for end, arcs := range [2][]petri.Arc{tr.In, tr.Out} {
+			k := 2*t + end
+			for _, a := range arcs {
+				for _, u := range e.net.Affected(a.Place) {
+					if e.net.Trans[u].Predicate == nil {
+						if lastList[u] == k {
+							continue
+						}
+						lastList[u] = k
+					}
+					e.refList = append(e.refList, u)
+				}
+			}
+			e.refOff[k+1] = int32(len(e.refList))
+		}
+	}
 }
 
 // reset rewinds the engine to the net's initial state for a run under
@@ -207,10 +270,8 @@ func (e *Engine) reset(opt Options) {
 	}
 	e.evq = e.evq[:0]
 	e.stale = 0
-	e.ripeList = e.ripeList[:0]
-	for i := range e.ripePos {
-		e.ripePos[i] = -1
-	}
+	clear(e.ripe)
+	e.nripe = 0
 	e.clock, e.seq, e.starts, e.ends = 0, 0, 0, 0
 	e.ctxTick = 0
 	e.env = e.net.NewEnv(e.rng)
@@ -291,6 +352,7 @@ func (e *Engine) run() error {
 	if err := e.emit(&e.rec); err != nil {
 		return err
 	}
+	e.rec.Marking = nil
 	if err := e.refreshAll(); err != nil {
 		return err
 	}
@@ -438,14 +500,16 @@ func (e *Engine) refreshAll() error {
 }
 
 // refreshAffected rechecks the transitions whose enablement can have
-// changed after the marking of the given places changed, plus (if env
-// might have changed) all predicated transitions.
-func (e *Engine) refreshAffected(places []trace.Delta, envChanged bool) error {
-	for _, d := range places {
-		for _, t := range e.net.Affected(d.Place) {
-			if err := e.refresh(t); err != nil {
-				return err
-			}
+// changed after a firing of t started (end false) or ended (end true),
+// plus (if env might have changed) all predicated transitions.
+func (e *Engine) refreshAffected(t petri.TransID, end, envChanged bool) error {
+	k := 2 * int(t)
+	if end {
+		k++
+	}
+	for _, u := range e.refList[e.refOff[k]:e.refOff[k+1]] {
+		if err := e.refresh(u); err != nil {
+			return err
 		}
 	}
 	if envChanged {
@@ -470,37 +534,47 @@ func (e *Engine) settle() error {
 		if e.done() {
 			return nil
 		}
-		if len(e.ripeList) == 0 {
+		if e.nripe == 0 {
 			return nil
 		}
 		if err := e.checkCtx(); err != nil {
 			return err
 		}
-		pick := e.choose(e.ripeList)
+		pick := e.choose()
 		if err := e.fire(pick); err != nil {
 			return err
 		}
 	}
 }
 
-// choose selects among simultaneously ready transitions with probability
-// proportional to relative firing frequency.
-func (e *Engine) choose(ripe []petri.TransID) petri.TransID {
-	if len(ripe) == 1 {
-		return ripe[0]
-	}
-	total := 0.0
-	for _, t := range ripe {
-		total += e.effFreq[t]
-	}
-	x := e.rng.Float64() * total
-	for _, t := range ripe {
-		x -= e.effFreq[t]
-		if x < 0 {
-			return t
+// choose selects among the (nonempty) ripe set with probability
+// proportional to relative firing frequency, walking the set in
+// ascending transition id.
+func (e *Engine) choose() petri.TransID {
+	if e.nripe == 1 {
+		for w, word := range e.ripe {
+			if word != 0 {
+				return petri.TransID(w<<6 | bits.TrailingZeros64(word))
+			}
 		}
 	}
-	return ripe[len(ripe)-1]
+	total := 0.0
+	for w, word := range e.ripe {
+		for ; word != 0; word &= word - 1 {
+			total += e.effFreq[w<<6|bits.TrailingZeros64(word)]
+		}
+	}
+	x := e.rng.Float64() * total
+	var last petri.TransID
+	for w, word := range e.ripe {
+		for ; word != 0; word &= word - 1 {
+			last = petri.TransID(w<<6 | bits.TrailingZeros64(word))
+			if x -= e.effFreq[last]; x < 0 {
+				return last
+			}
+		}
+	}
+	return last
 }
 
 // fire starts one firing of t: consume inputs, emit the Start record, and
@@ -524,11 +598,11 @@ func (e *Engine) fire(t petri.TransID) error {
 	}
 	e.net.Consume(t, e.m)
 	e.starts++
-	e.rec = trace.Record{Kind: trace.Start, Time: e.clock, Trans: t, Deltas: e.deltas}
+	e.rec.Kind, e.rec.Time, e.rec.Trans, e.rec.Deltas = trace.Start, e.clock, t, e.deltas
 	if err := e.emit(&e.rec); err != nil {
 		return err
 	}
-	if err := e.refreshAffected(e.deltas, false); err != nil {
+	if err := e.refreshAffected(t, false, false); err != nil {
 		return err
 	}
 	// Count the in-flight firing before re-arming, so the timer restart
@@ -568,11 +642,11 @@ func (e *Engine) complete(t petri.TransID) error {
 		}
 		envChanged = true
 	}
-	e.rec = trace.Record{Kind: trace.End, Time: e.clock, Trans: t, Deltas: e.deltas}
+	e.rec.Kind, e.rec.Time, e.rec.Trans, e.rec.Deltas = trace.End, e.clock, t, e.deltas
 	if err := e.emit(&e.rec); err != nil {
 		return err
 	}
-	return e.refreshAffected(e.deltas, envChanged)
+	return e.refreshAffected(t, true, envChanged)
 }
 
 // completeDue drains every event scheduled for the current clock:
@@ -610,39 +684,21 @@ func (e *Engine) completeDue() error {
 	return nil
 }
 
-// setRipe inserts t into the ripe set, keeping ascending id order.
+// setRipe adds t to the ripe set.
 func (e *Engine) setRipe(t petri.TransID) {
-	if e.ripePos[t] >= 0 {
-		return
-	}
-	lo, hi := 0, len(e.ripeList)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if e.ripeList[mid] < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	e.ripeList = append(e.ripeList, 0)
-	copy(e.ripeList[lo+1:], e.ripeList[lo:])
-	e.ripeList[lo] = t
-	for i := lo; i < len(e.ripeList); i++ {
-		e.ripePos[e.ripeList[i]] = int32(i)
+	w, b := t>>6, uint64(1)<<(t&63)
+	if e.ripe[w]&b == 0 {
+		e.ripe[w] |= b
+		e.nripe++
 	}
 }
 
 // clearRipe removes t from the ripe set if present.
 func (e *Engine) clearRipe(t petri.TransID) {
-	i := e.ripePos[t]
-	if i < 0 {
-		return
-	}
-	copy(e.ripeList[i:], e.ripeList[i+1:])
-	e.ripeList = e.ripeList[:len(e.ripeList)-1]
-	e.ripePos[t] = -1
-	for j := int(i); j < len(e.ripeList); j++ {
-		e.ripePos[e.ripeList[j]] = int32(j)
+	w, b := t>>6, uint64(1)<<(t&63)
+	if e.ripe[w]&b != 0 {
+		e.ripe[w] &^= b
+		e.nripe--
 	}
 }
 
