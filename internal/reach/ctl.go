@@ -32,7 +32,7 @@ func (g *Graph) NumNodes() int { return len(g.Nodes) }
 func (g *Graph) Succ(id int) []int {
 	out := make([]int, len(g.Nodes[id].Out))
 	for i, e := range g.Nodes[id].Out {
-		out[i] = e.To
+		out[i] = int(e.To)
 	}
 	return out
 }

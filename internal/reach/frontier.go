@@ -32,13 +32,19 @@ type space[S any] interface {
 	commit(src int, s *S, id int32) (int32, bool)
 }
 
-// cand is one successor of a frontier level. Dedup resolves it: node is
-// the committed node holding its state, dup the sequence number of an
-// earlier candidate of the level with the same new state; both -1 mean
-// a new state.
+// cand is one successor of a frontier level and its dedup hash.
 type cand[S any] struct {
-	s         S
-	hash      uint64
+	s    S
+	hash uint64
+}
+
+// resolved is the dedup verdict on one candidate: node is the committed
+// node holding its state, dup the sequence number of an earlier
+// candidate of the level with the same new state; both -1 mean a new
+// state. Each shard writes the verdicts on the candidates it owns into
+// its own segment of one array, so shards share a cache line only at
+// segment ends.
+type resolved struct {
 	node, dup int32
 }
 
@@ -65,7 +71,8 @@ func (o Options) shardCount() int {
 type idTable struct {
 	slots []idSlot
 	n     int
-	shift uint // 64 - log2(len(slots))
+	shift uint     // 64 - log2(len(slots))
+	_     [24]byte // pads the 40-byte header to a 64-byte cache line: shards write their own tables' n concurrently
 }
 
 // idSlot is one table entry; id is stored plus one so that the zero
@@ -146,7 +153,9 @@ func explore[S any](ctx context.Context, sp space[S], root S, shards int) error 
 	var (
 		outs     = make([][]cand[S], shards) // per-shard expansion
 		errs     = make([]error, shards)
-		byShard  = make([][]int32, shards) // per shard: owned sequence numbers
+		byShard  = make([][]int32, shards) // per shard: owned sequence numbers, ascending
+		next     = make([]int, shards)     // per shard: its segment of res, then commit's cursor
+		res      []resolved                // verdicts, shard by shard, each in byShard order
 		counts   []int32                   // successors per level node
 		flat     []cand[S]                 // the level's candidates in global order
 		assigned []int32                   // committed id per candidate
@@ -190,23 +199,28 @@ func explore[S any](ctx context.Context, sp space[S], root S, shards int) error 
 			byShard[w] = append(byShard[w], int32(seq))
 		}
 
+		res = slices.Grow(res[:0], len(flat))[:len(flat)]
+		for w, start := 0, 0; w < shards; w++ {
+			next[w] = start
+			start += len(byShard[w])
+		}
 		for w := range byShard {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				p := &pend[w]
 				p.reset(len(byShard[w]))
-				for _, seq := range byShard[w] {
+				r := res[next[w] : next[w]+len(byShard[w])]
+				for k, seq := range byShard[w] {
 					c := &flat[seq]
-					c.node = seen[w].lookup(c.hash, func(id int32) bool { return sp.holds(w, id, &c.s) })
-					c.dup = -1
-					if c.node >= 0 {
-						continue
+					v := resolved{node: seen[w].lookup(c.hash, func(id int32) bool { return sp.holds(w, id, &c.s) }), dup: -1}
+					if v.node < 0 {
+						v.dup = p.lookup(c.hash, func(ps int32) bool { return sp.same(&flat[ps].s, &c.s) })
+						if v.dup < 0 {
+							p.insert(c.hash, seq)
+						}
 					}
-					c.dup = p.lookup(c.hash, func(ps int32) bool { return sp.same(&flat[ps].s, &c.s) })
-					if c.dup < 0 {
-						p.insert(c.hash, seq)
-					}
+					r[k] = v
 				}
 			}(w)
 		}
@@ -217,16 +231,19 @@ func explore[S any](ctx context.Context, sp space[S], root S, shards int) error 
 		for i, cnt := range counts {
 			for ; cnt > 0; cnt-- {
 				c := &flat[seq]
-				id := c.node
-				if id < 0 && c.dup >= 0 {
-					id = assigned[c.dup]
+				w := c.hash % uint64(shards)
+				v := res[next[w]] // byShard[w] ascends, so one cursor per shard finds seq's verdict
+				next[w]++
+				id := v.node
+				if id < 0 && v.dup >= 0 {
+					id = assigned[v.dup]
 				}
 				nid, stop := sp.commit(lo+i, &c.s, id)
 				if stop {
 					return nil
 				}
 				if id < 0 && nid >= 0 {
-					seen[c.hash%uint64(shards)].insert(c.hash, nid)
+					seen[w].insert(c.hash, nid)
 					n++
 				}
 				assigned[seq] = nid

@@ -1,6 +1,8 @@
 package reach
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"testing"
 
@@ -54,9 +56,14 @@ func FuzzParseFormula(f *testing.F) {
 // FuzzSpillBlock hardens the spill store's block decoders the same way
 // FuzzColReader hardens the columnar trace codec: a corrupt or
 // truncated spill frame (bit rot in the temp file) must error, never
-// panic, never loop forever, and every decoded entry must carry
-// in-range indices and non-negative counts. The seed corpus holds a
-// frame written by the real encoder plus truncations and byte flips.
+// panic, never loop forever, and every decoded row must carry in-range
+// indices and non-negative counts. A body the decoder accepts must also
+// be canonical — its row count and rows re-encode to exactly its bytes
+// — since the dedup compares rows byte for byte, and a row that
+// decodes to a known marking but differs from it would store a state
+// twice. The seed corpus holds a frame written by the real encoder,
+// with rows both one byte per place and wider, plus truncations, byte
+// flips and an overlong varint.
 func FuzzSpillBlock(f *testing.F) {
 	const places = 5
 	// A genuine frame: fill one block through the production encoder
@@ -65,7 +72,10 @@ func FuzzSpillBlock(f *testing.F) {
 	m := make(petri.Marking, places)
 	for i := 0; i < spillBlockEntries; i++ {
 		m[i%places] = i * 3 % 17
-		s.Add(m)
+		if i == spillBlockEntries/2 {
+			m[i%places] = 300 // a wide row
+		}
+		s.Add(appendMarking(nil, m))
 	}
 	if s.SpilledBytes() == 0 {
 		f.Fatal("seed store never spilled")
@@ -91,6 +101,8 @@ func FuzzSpillBlock(f *testing.F) {
 	f.Add([]byte{0x01, 0x00})                          // body with count 0
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f})        // implausible body length
 	f.Add(append([]byte(nil), append(valid, 0x00)...)) // trailing byte
+	// One row whose first count is 0 written overlong (0x80 0x00).
+	f.Add([]byte{0x07, 0x01, 0x80, 0x00, 0x01, 0x02, 0x03, 0x04})
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		body, err := decodeSpillFrame(frame)
@@ -98,29 +110,37 @@ func FuzzSpillBlock(f *testing.F) {
 			return
 		}
 		last := -1
-		n, err := decodeSpillBody(body, places, func(i int, m petri.Marking) bool {
+		var again []byte
+		n, err := decodeSpillBody(body, places, func(i int, m petri.Marking, row []byte) bool {
 			if i != last+1 {
-				t.Fatalf("entry index %d after %d", i, last)
+				t.Fatalf("row index %d after %d", i, last)
 			}
 			last = i
 			if len(m) != places {
-				t.Fatalf("entry %d has %d places, want %d", i, len(m), places)
+				t.Fatalf("row %d has %d places, want %d", i, len(m), places)
 			}
 			for p, c := range m {
 				if c < 0 {
-					t.Fatalf("entry %d place %d decoded negative count %d", i, p, c)
+					t.Fatalf("row %d place %d decoded negative count %d", i, p, c)
 				}
 			}
+			if enc := appendMarking(nil, m); !bytes.Equal(enc, row) {
+				t.Fatalf("row %d: %x decodes to %v, which encodes to %x", i, row, m, enc)
+			}
+			again = append(again, row...)
 			return true
 		})
 		if err != nil {
 			return
 		}
 		if n != last+1 {
-			t.Fatalf("count %d but %d entries decoded", n, last+1)
+			t.Fatalf("count %d but %d rows decoded", n, last+1)
 		}
 		if n < 1 || n > spillBlockEntries {
-			t.Fatalf("entry count %d out of range", n)
+			t.Fatalf("row count %d out of range", n)
+		}
+		if again = append(binary.AppendUvarint(nil, uint64(n)), again...); !bytes.Equal(again, body) {
+			t.Fatalf("accepted body %x re-encodes to %x", body, again)
 		}
 	})
 }

@@ -14,12 +14,14 @@
 // contract: node ids, edge order, states and truncation flags are
 // bit-identical to a serial FIFO build for every shard count. The
 // serial builds are test oracles (oracle_test.go). Untimed markings
-// live in a compact delta-encoded StateStore (see store.go).
+// live in a StateStore as rows of one uvarint per place (see store.go);
+// the build writes, hashes, compares and stores that one encoding.
 package reach
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -48,7 +50,7 @@ type Options struct {
 	// order, flags — is bit-identical for every value; shards only
 	// change wall-clock time.
 	Shards int
-	// Store selects the marking store: StoreMem (the in-memory delta
+	// Store selects the marking store: StoreMem (the in-memory row
 	// store) or StoreSpill (framed blocks spilling to a temp file past
 	// SpillBudget bytes). Empty resolves to StoreSpill when SpillBudget
 	// or SpillDir is set, else StoreMem. Graphs are bit-identical
@@ -107,10 +109,11 @@ func newStateStore(opt Options, places int) (StateStore, error) {
 	return nil, opt.CheckStore()
 }
 
-// Edge is one graph transition.
+// Edge is one graph transition: the transition fired and the node it
+// leads to. Both fit int32 — node ids are int32 throughout the
+// frontier's dedup tables — so an edge is 8 bytes.
 type Edge struct {
-	Trans petri.TransID
-	To    int
+	Trans, To int32
 }
 
 // Node is one reachable marking: its id and outgoing edges. The
@@ -145,7 +148,7 @@ func (g *Graph) MarkingOf(id int) petri.Marking { return g.store.At(id, nil) }
 // which is how Bound, CheckInvariant and the CTL atom evaluation walk
 // million-state graphs without per-node allocation.
 func (g *Graph) EachMarking(fn func(id int, m petri.Marking) bool) {
-	g.store.Span(0, g.store.Len(), fn)
+	g.store.Span(0, g.store.Len(), func(id int, m petri.Marking, _ []byte) bool { return fn(id, m) })
 }
 
 // StoreBytes returns the encoded size of the marking store — the
@@ -196,39 +199,46 @@ func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
 }
 
 // markingSucc is one untimed successor: the marking reached by firing
-// t, encoded in the keyframe form (appendMarking) at bytes [off, end)
-// of shard w's arena. It holds nothing else (16 bytes) so a frontier
-// candidate stays at 32: every byte added here is paid once per
-// successor of a level.
+// t, as a row (appendMarking) at bytes [off, end) of shard w's arena.
+// It holds nothing else (16 bytes) so a frontier candidate stays
+// small: every byte added here is paid once per successor of a level.
 type markingSucc struct {
 	w, t     int32
 	off, end uint32
 }
 
 // shardBuf is one shard's reused buffers: the arena its successors of
-// the current level are encoded into, and holds' decode and encode
-// buffers.
+// the current level are written into, and holds' copy of a committed
+// row (spill store only).
 type shardBuf struct {
 	arena []byte
-	fired petri.Marking // expand's successor marking
-	at    petri.Marking // a committed marking, decoded by holds
-	enc   []byte        // at, re-encoded by holds
+	row   []byte
+}
+
+// placeDelta is one place's net token change when a transition fires.
+// A transition's list is in ascending place order.
+type placeDelta struct {
+	place, d int
 }
 
 // graphSpace is the untimed state space: markings live in the graph's
-// StateStore, candidates in per-shard byte arenas, and edges in one
-// array laid out in commit (= source) order. commit flags the bound cap
-// and stops at the first truncation.
+// StateStore as rows, candidates in per-shard byte arenas in the same
+// form, and edges in one array laid out in commit (= source) order.
+// commit flags the bound cap and stops at the first truncation.
 type graphSpace struct {
 	g       *Graph
 	opt     Options
 	shards  int
+	places  int
+	deltas  []placeDelta // per transition: Out minus In, zeros dropped, ...
+	deltaAt []int32      // ... at deltas[deltaAt[t]:deltaAt[t+1]]
 	root    markingSucc
 	bufs    []shardBuf
 	cur     petri.Marking // commit's decode buffer
 	rootCap string        // the place over BoundCap in node 0 ("" if none)
 	edges   []Edge
-	off     []int // off[i]: index in edges of node i's first edge
+	off     []int32 // off[i]: index in edges of node i's first edge
+	err     error   // set by commit when the edges outgrow int32
 }
 
 // newGraphSpace validates net, opens the store Options select and
@@ -239,28 +249,60 @@ func newGraphSpace(net *petri.Net, opt Options) (*graphSpace, error) {
 	if net.Interpreted() {
 		return nil, fmt.Errorf("reach: net %q is interpreted (predicates/actions); reachability requires a plain net", net.Name)
 	}
-	store, err := newStateStore(opt, net.NumPlaces())
+	places := net.NumPlaces()
+	store, err := newStateStore(opt, places)
 	if err != nil {
 		return nil, err
 	}
-	s := &graphSpace{g: &Graph{Net: net, store: store}, opt: opt, shards: opt.shardCount()}
-	m0 := net.InitialMarking()
-	s.bufs = make([]shardBuf, s.shards)
-	for w := range s.bufs {
-		s.bufs[w].fired = make(petri.Marking, len(m0))
+	s := &graphSpace{g: &Graph{Net: net, store: store}, opt: opt, shards: opt.shardCount(), places: places}
+	arcs := 0
+	for t := range net.Trans {
+		arcs += len(net.Trans[t].In) + len(net.Trans[t].Out)
 	}
+	s.deltas = make([]placeDelta, 0, arcs)
+	s.deltaAt = make([]int32, 1, len(net.Trans)+1)
+	s.cur = make(petri.Marking, places)
+	for t := range net.Trans {
+		change := s.cur // commit's decode buffer, free until the first commit
+		clear(change)
+		for _, a := range net.Trans[t].In {
+			change[a.Place] -= a.Weight
+		}
+		for _, a := range net.Trans[t].Out {
+			change[a.Place] += a.Weight
+		}
+		for p, d := range change {
+			if d != 0 {
+				s.deltas = append(s.deltas, placeDelta{place: p, d: d})
+			}
+		}
+		s.deltaAt = append(s.deltaAt, int32(len(s.deltas)))
+	}
+	s.bufs = make([]shardBuf, s.shards)
+	if _, view := store.(*MemStore); !view {
+		// holds copies committed rows out of this store: give each
+		// shard a buffer that fits the widest row.
+		n := places * binary.MaxVarintLen64
+		rows := make([]byte, s.shards*n)
+		for w := range s.bufs {
+			s.bufs[w].row = rows[w*n : w*n : (w+1)*n]
+		}
+	}
+	m0 := net.InitialMarking()
 	s.bufs[0].arena = appendMarking(nil, m0)
 	s.root = markingSucc{end: uint32(len(s.bufs[0].arena))}
-	s.cur = make(petri.Marking, len(m0))
 	s.rootCap = s.overCap(m0)
-	store.Add(m0)
+	store.Add(s.bufs[0].arena)
 	return s, nil
 }
 
 // finish returns the graph with each node's Out a capped view into the
-// one edge array, or closes it and returns the first of err and the
-// store's sticky error.
+// one edge array, or closes it and returns the first of err, the edge
+// overflow and the store's sticky error.
 func (s *graphSpace) finish(err error) (*Graph, error) {
+	if err == nil {
+		err = s.err
+	}
 	if err == nil {
 		err = s.g.store.Err()
 	}
@@ -269,8 +311,9 @@ func (s *graphSpace) finish(err error) (*Graph, error) {
 		return nil, err
 	}
 	n := s.g.store.Len()
+	s.off = reserve(s.off, n+1-len(s.off))
 	for len(s.off) <= n {
-		s.off = append(s.off, len(s.edges))
+		s.off = append(s.off, int32(len(s.edges)))
 	}
 	s.g.Nodes = make([]Node, n)
 	for i := range s.g.Nodes {
@@ -297,15 +340,20 @@ func (s *graphSpace) encoded(c *markingSucc) []byte {
 	return s.bufs[c.w].arena[c.off:c.end]
 }
 
+// expand writes each successor's row into shard w's arena. When the
+// parent row is stride-width (one byte per place) and every changed
+// count stays below 128, the successor row is the parent row with only
+// the changed bytes rewritten; otherwise every count is encoded.
 func (s *graphSpace) expand(w, lo, hi int, succ func(int, markingSucc)) error {
 	if err := s.g.store.Err(); err != nil {
 		return err
 	}
 	net := s.g.Net
 	buf := &s.bufs[w]
-	arena, next := buf.arena[:0], buf.fired
+	arena := buf.arena[:0]
 	var err error
-	s.g.store.Span(lo, hi, func(id int, m petri.Marking) bool {
+	s.g.store.Span(lo, hi, func(id int, m petri.Marking, row []byte) bool {
+		stride := len(row) == s.places
 		for ti := range net.Trans {
 			t := petri.TransID(ti)
 			var ok bool
@@ -315,11 +363,14 @@ func (s *graphSpace) expand(w, lo, hi int, succ func(int, markingSucc)) error {
 			if !ok {
 				continue
 			}
-			copy(next, m)
-			net.Consume(t, next)
-			net.Produce(t, next)
-			off := len(arena)
-			arena = appendMarking(arena, next)
+			off, patched := len(arena), false
+			if stride {
+				arena = append(reserve(arena, len(row)), row...)
+				patched = s.patch(arena[off:], m, ti)
+			}
+			if !patched {
+				arena = s.appendFired(arena[:off], m, ti)
+			}
 			succ(id, markingSucc{w: int32(w), t: int32(t), off: uint32(off), end: uint32(len(arena))})
 		}
 		return true
@@ -331,42 +382,81 @@ func (s *graphSpace) expand(w, lo, hi int, succ func(int, markingSucc)) error {
 	return err
 }
 
-func (s *graphSpace) hash(c *markingSucc) uint64 { return hashBytes(s.encoded(c)) }
+// delta returns transition t's place changes.
+func (s *graphSpace) delta(t int) []placeDelta {
+	return s.deltas[s.deltaAt[t]:s.deltaAt[t+1]]
+}
+
+// patch turns r, a copy of the stride-width row of marking m, into the
+// row of m after firing t by rewriting only the places t changes. It
+// reports false when a changed count reaches 128 and so needs more than
+// one byte.
+func (s *graphSpace) patch(r []byte, m petri.Marking, t int) bool {
+	for _, d := range s.delta(t) {
+		v := m[d.place] + d.d
+		if v >= 0x80 {
+			return false
+		}
+		r[d.place] = byte(v)
+	}
+	return true
+}
+
+// appendFired appends the row of marking m after firing t, encoding
+// every count; t's changes are in ascending place order.
+func (s *graphSpace) appendFired(b []byte, m petri.Marking, t int) []byte {
+	ds := s.delta(t)
+	for p, c := range m {
+		if len(ds) > 0 && ds[0].place == p {
+			c += ds[0].d
+			ds = ds[1:]
+		}
+		b = binary.AppendUvarint(b, uint64(c))
+	}
+	return b
+}
+
+func (s *graphSpace) hash(c *markingSucc) uint64 { return hashRow(s.encoded(c)) }
 
 func (s *graphSpace) holds(w int, id int32, c *markingSucc) bool {
-	buf := &s.bufs[w]
-	buf.at = s.g.store.At(int(id), buf.at)
-	buf.enc = appendMarking(buf.enc[:0], buf.at)
-	return bytes.Equal(buf.enc, s.encoded(c))
+	return bytes.Equal(s.g.store.Row(int(id), s.bufs[w].row), s.encoded(c))
 }
 
 func (s *graphSpace) same(a, b *markingSucc) bool {
 	return bytes.Equal(s.encoded(a), s.encoded(b))
 }
 
-// commit decodes only new states. A duplicate's marking was checked
-// against BoundCap when its node was committed, except node 0's, whose
-// over-cap place newGraphSpace precomputed; so CapExceeded names the
-// same place the serial build does.
+// commit stores a new state's candidate row verbatim. It decodes the
+// row only to check it against BoundCap, and only when the row could
+// exceed it: a stride-width row holds counts below 128 and so cannot
+// pass a cap of 127 or more. A duplicate's marking was checked when its
+// node was committed, except node 0's, whose over-cap place
+// newGraphSpace precomputed; so CapExceeded names the same place the
+// serial build does.
 func (s *graphSpace) commit(src int, c *markingSucc, id int32) (int32, bool) {
 	g := s.g
 	if id < 0 {
-		readMarking(s.encoded(c), s.cur)
-		if g.CapExceeded == "" {
+		row := s.encoded(c)
+		if g.CapExceeded == "" && (len(row) != s.places || s.opt.BoundCap < 0x7f) {
+			readMarking(row, s.cur)
 			g.CapExceeded = s.overCap(s.cur)
 		}
 		if g.store.Len() >= s.opt.MaxStates {
 			g.Truncated = true
 			return -1, true
 		}
-		id = int32(g.store.Add(s.cur))
+		id = int32(g.store.Add(row))
 	} else if id == 0 && g.CapExceeded == "" {
 		g.CapExceeded = s.rootCap
 	}
-	for len(s.off) <= src {
-		s.off = append(s.off, len(s.edges))
+	if len(s.edges) == math.MaxInt32 {
+		s.err = fmt.Errorf("reach: more than %d edges", math.MaxInt32)
+		return -1, true
 	}
-	s.edges = append(s.edges, Edge{Trans: petri.TransID(c.t), To: int(id)})
+	for len(s.off) <= src {
+		s.off = append(reserve(s.off, 1), int32(len(s.edges)))
+	}
+	s.edges = append(reserve(s.edges, 1), Edge{Trans: c.t, To: id})
 	return id, false
 }
 

@@ -45,7 +45,7 @@ func BuildSerial(ctx context.Context, net *petri.Net, opt Options) (*Graph, erro
 	index := make(map[string]int)
 	m0 := net.InitialMarking()
 	g.Nodes = append(g.Nodes, Node{ID: 0})
-	g.store.Add(m0)
+	g.store.Add(appendMarking(nil, m0))
 	index[m0.Key()] = 0
 	var cur petri.Marking
 	for id := 0; id < len(g.Nodes) && !g.Truncated; id++ {
@@ -88,10 +88,10 @@ func BuildSerial(ctx context.Context, net *petri.Net, opt Options) (*Graph, erro
 				}
 				nid = len(g.Nodes)
 				g.Nodes = append(g.Nodes, Node{ID: nid})
-				g.store.Add(next)
+				g.store.Add(appendMarking(nil, next))
 				index[key] = nid
 			}
-			g.Nodes[id].Out = append(g.Nodes[id].Out, Edge{Trans: t, To: nid})
+			g.Nodes[id].Out = append(g.Nodes[id].Out, Edge{Trans: int32(t), To: int32(nid)})
 		}
 	}
 	if err := g.store.Err(); err != nil {

@@ -76,7 +76,7 @@ func untimedTestNets(t *testing.T) []buildCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []buildCase{
+	return append([]buildCase{
 		{"mutex", mutexNet(t), Options{}},
 		{"pipeline_8x3", modelgen.DeepPipeline(8, 3, 1), Options{}},
 		{"pipeline_12x4", modelgen.DeepPipeline(12, 4, 2), Options{}},
@@ -85,6 +85,50 @@ func untimedTestNets(t *testing.T) []buildCase {
 		{"cache_processor", cached, Options{}},
 		{"truncated", unboundedBranchNet(), Options{MaxStates: 500}},
 		{"capped", unboundedBranchNet(), Options{MaxStates: 2000, BoundCap: 16}},
+	}, wideTestNets()...)
+}
+
+// wideTestNets are the cases whose counts reach 128 or more, so their
+// rows take more than one byte per place: the end-offset index of the
+// in-memory store, the successor that cannot patch its parent row, and
+// the bound-cap check on a wide row.
+func wideTestNets() []buildCase {
+	// Counts cross 127 mid-build, as the BFS levels deepen.
+	mid := Options{MaxStates: 10_000, BoundCap: 130}
+
+	// One weighted firing moves c from below 128 to above it, and the
+	// reverse firing moves it back; tick moves tokens from c to d, which
+	// itself crosses 127 late.
+	b := petri.NewBuilder("weighted_128")
+	b.Place("c", 120)
+	b.Place("d", 0)
+	b.Place("ready", 1)
+	b.Place("done", 0)
+	b.Place("x", 1)
+	b.Place("y", 0)
+	b.Trans("up").In("ready").Out("done").Out("c", 10)
+	b.Trans("down").In("done").In("c", 10).Out("ready")
+	b.Trans("tick").In("c").Out("d")
+	b.Trans("xy").In("x").Out("y")
+	b.Trans("yx").In("y").Out("x")
+	weighted := b.MustBuild()
+
+	// The initial marking itself is wide: node 0's successors cannot
+	// patch its row.
+	b = petri.NewBuilder("wide_root")
+	b.Place("pool", 130)
+	b.Place("a", 0)
+	b.Place("b", 0)
+	b.Trans("take_a").In("pool").Out("a")
+	b.Trans("take_b").In("pool").Out("b")
+	b.Trans("ret_a").In("a").Out("pool")
+	b.Trans("ret_b").In("b").Out("pool")
+	wideRoot := b.MustBuild()
+
+	return []buildCase{
+		{"wide_mid_build", unboundedBranchNet(), mid},
+		{"weighted_128", weighted, Options{}},
+		{"wide_root", wideRoot, Options{}},
 	}
 }
 
@@ -116,7 +160,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 // collidingSpace gives every candidate the same hash: all states land
 // in one shard and one probe run of each dedup table, so every dedup
 // decision goes through the committed (holds) and pending (same) state
-// comparisons that 64-bit FNV never exercises on the test nets.
+// comparisons that the 64-bit hashes never exercise on the test nets.
 type collidingSpace[S any] struct{ space[S] }
 
 func (collidingSpace[S]) hash(*S) uint64 { return 0x5eed }
@@ -278,6 +322,27 @@ func TestBuildAllocsPerState(t *testing.T) {
 		if per := allocs / float64(states); per >= 0.05 {
 			t.Errorf("shards=%d: %.0f allocations for %d states = %.3f per state, want < 0.05", shards, allocs, states, per)
 		}
+	}
+}
+
+// TestBuildAllocBytesPerState bounds the bytes one forkjoin_7x4 build
+// allocates per state at one shard. The store's rows, the edges and
+// the edge offsets grow by doubling rather than by append's 1.25x for
+// large slices, which would copy each of them several times over; a
+// build allocates about 580 B/state with doubling and about 960 with
+// append's growth.
+func TestBuildAllocBytesPerState(t *testing.T) {
+	const bound = 700
+	net := modelgen.ForkJoin(7, 4, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := Build(context.Background(), net, Options{Shards: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(g.Nodes)); per > bound {
+		t.Errorf("%.0f bytes allocated for %d states = %.0f B/state, want at most %d", float64(after.TotalAlloc-before.TotalAlloc), len(g.Nodes), per, bound)
 	}
 }
 

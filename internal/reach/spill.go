@@ -1,27 +1,26 @@
-// SpillStore is the disk-spillable StateStore: markings are sealed
-// into self-contained, length-prefixed varint-delta blocks (the same
-// techniques as the columnar trace codec in internal/trace/col.go),
-// and once the sealed blocks held in memory exceed a byte budget the
-// oldest spill to a temp file. A block index keeps random access at
-// one block decode whether the block is in memory or on disk, and
-// frontier expansion (Span) streams blocks sequentially — so MaxStates
-// can exceed what RAM would hold.
+// SpillStore is the disk-spillable StateStore: marking rows are sealed
+// into self-contained, length-prefixed blocks, and once the sealed
+// blocks held in memory exceed a byte budget the oldest spill to a
+// temp file. A block index keeps random access at one block decode
+// whether the block is in memory or on disk, and frontier expansion
+// (Span) streams blocks sequentially — so MaxStates can exceed what RAM
+// would hold. The temp file belongs to one process and one store, so
+// its layout carries no version.
 package reach
 
 import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/petri"
 )
 
 const (
-	// spillBlockEntries is the number of markings per sealed block: the
-	// first entry is a keyframe (uvarint counts), the rest zigzag-varint
-	// deltas against the previous entry. Worst-case random access
-	// decodes one block.
+	// spillBlockEntries is the number of rows per sealed block. Worst-
+	// case random access decodes one block.
 	spillBlockEntries = 64
 	// maxSpillBody bounds a plausible block body; larger length prefixes
 	// are rejected as corruption before any allocation.
@@ -40,20 +39,19 @@ type spillBlock struct {
 }
 
 // SpillStore implements StateStore with a bounded in-memory footprint.
-// Appends seal every spillBlockEntries markings into a framed block;
-// sealed blocks spill to a temp file, oldest first, whenever their
-// total size exceeds the budget (budget 0 spills every sealed block).
-// Reads of spilled blocks go through ReadAt, so they are safe
-// concurrently, matching the StateStore contract.
+// Appends seal every spillBlockEntries rows into a framed block; sealed
+// blocks spill to a temp file, oldest first, whenever their total size
+// exceeds the budget (budget 0 spills every sealed block). Reads of
+// spilled blocks go through ReadAt, so they are safe concurrently,
+// matching the StateStore contract.
 type SpillStore struct {
 	places int
 	budget int64
 	dir    string
 
 	blocks []spillBlock
-	cur    []byte // open block: encoded entries, no count prefix yet
+	cur    []byte // open block: rows, no count prefix yet
 	curN   int
-	prev   petri.Marking
 	n      int
 
 	memBytes  int64 // sealed bodies still in memory
@@ -122,28 +120,20 @@ func (s *SpillStore) Close() error {
 	return err
 }
 
-// Add appends m (which is not retained) and returns its id.
-func (s *SpillStore) Add(m petri.Marking) int {
-	id := s.n
-	if s.curN == 0 {
-		s.cur = appendMarking(s.cur, m)
-	} else {
-		for i, c := range m {
-			s.cur = binary.AppendVarint(s.cur, int64(c-s.prev[i]))
-		}
-	}
-	s.prev = append(s.prev[:0], m...)
+// Add appends row verbatim and returns its id.
+func (s *SpillStore) Add(row []byte) int {
+	s.cur = append(s.cur, row...)
 	s.curN++
-	s.n = id + 1
+	s.n++
 	if s.curN == spillBlockEntries {
 		s.seal()
 	}
-	return id
+	return s.n - 1
 }
 
-// seal closes the open block: the body (count prefix + entries) joins
-// the sealed set, and the oldest sealed blocks spill while the
-// in-memory total exceeds the budget.
+// seal closes the open block: the body (count prefix + rows) joins the
+// sealed set, and the oldest sealed blocks spill while the in-memory
+// total exceeds the budget.
 func (s *SpillStore) seal() {
 	body := make([]byte, 0, len(s.cur)+2)
 	body = binary.AppendUvarint(body, uint64(s.curN))
@@ -188,23 +178,26 @@ func (s *SpillStore) spillOne() bool {
 	return true
 }
 
-// withBody fetches block b's body (from memory or the temp file) and
-// runs fn over it. Safe for concurrent readers: spilled blocks are read
-// with ReadAt into pooled buffers.
-func (s *SpillStore) withBody(b int, fn func(body []byte) error) error {
+// visitBlock decodes block b (from memory, the temp file or the open
+// block) and calls fn for each of its rows. Safe for concurrent
+// readers: spilled blocks are read with ReadAt into pooled buffers.
+func (s *SpillStore) visitBlock(b int, fn func(i int, m petri.Marking, row []byte) bool) error {
+	if b == len(s.blocks) {
+		// Open block: rows live in cur without a count prefix.
+		_, err := decodeSpillRows(s.cur, s.places, s.curN, fn)
+		return err
+	}
 	blk := &s.blocks[b]
 	if blk.body != nil {
-		return fn(blk.body)
+		_, err := decodeSpillBody(blk.body, s.places, fn)
+		return err
 	}
 	bufp, _ := s.pool.Get().(*[]byte)
 	var buf []byte
 	if bufp != nil {
 		buf = *bufp
 	}
-	if cap(buf) < blk.len {
-		buf = make([]byte, blk.len)
-	}
-	buf = buf[:blk.len]
+	buf = slices.Grow(buf[:0], blk.len)[:blk.len]
 	defer s.pool.Put(&buf)
 	if _, err := s.f.ReadAt(buf, blk.off); err != nil {
 		return fmt.Errorf("reach: spill store: %w", err)
@@ -213,45 +206,44 @@ func (s *SpillStore) withBody(b int, fn func(body []byte) error) error {
 	if err != nil {
 		return err
 	}
-	return fn(body)
+	_, err = decodeSpillBody(body, s.places, fn)
+	return err
+}
+
+// Row copies row id out of its block, appended to dst[:0]. On a read
+// error it returns dst[:0] and the error sticks (see Err).
+func (s *SpillStore) Row(id int, dst []byte) []byte {
+	dst = dst[:0]
+	target := id % spillBlockEntries
+	err := s.visitBlock(id/spillBlockEntries, func(i int, _ petri.Marking, row []byte) bool {
+		if i == target {
+			dst = append(dst, row...)
+			return false
+		}
+		return true
+	})
+	if err != nil {
+		s.setErr(err)
+	}
+	return dst
 }
 
 // At decodes the marking with the given id into dst (grown if needed)
 // and returns it. On a read error dst is zeroed and the error sticks
 // (see Err).
 func (s *SpillStore) At(id int, dst petri.Marking) petri.Marking {
-	if cap(dst) < s.places {
-		dst = make(petri.Marking, s.places)
-	}
-	dst = dst[:s.places]
-	b, target := id/spillBlockEntries, id%spillBlockEntries
-	var err error
-	if b == len(s.blocks) {
-		// Open block: entries live in cur without a count prefix.
-		_, err = decodeSpillEntries(s.cur, s.places, s.curN, func(i int, m petri.Marking) bool {
-			if i == target {
-				copy(dst, m)
-				return false
-			}
-			return true
-		})
-	} else {
-		err = s.withBody(b, func(body []byte) error {
-			_, err := decodeSpillBody(body, s.places, func(i int, m petri.Marking) bool {
-				if i == target {
-					copy(dst, m)
-					return false
-				}
-				return true
-			})
-			return err
-		})
-	}
+	dst = slices.Grow(dst[:0], s.places)[:s.places]
+	target := id % spillBlockEntries
+	err := s.visitBlock(id/spillBlockEntries, func(i int, m petri.Marking, _ []byte) bool {
+		if i == target {
+			copy(dst, m)
+			return false
+		}
+		return true
+	})
 	if err != nil {
 		s.setErr(err)
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	}
 	return dst
 }
@@ -260,33 +252,24 @@ func (s *SpillStore) At(id int, dst petri.Marking) petri.Marking {
 // blocks sequentially — this is the frontier-expansion read path, so a
 // spilled graph is walked with one block fetch per spillBlockEntries
 // markings.
-func (s *SpillStore) Span(lo, hi int, fn func(id int, m petri.Marking) bool) {
+func (s *SpillStore) Span(lo, hi int, fn func(id int, m petri.Marking, row []byte) bool) {
 	if lo >= hi {
 		return
 	}
 	stopped := false
 	for b := lo / spillBlockEntries; b <= (hi-1)/spillBlockEntries && !stopped; b++ {
 		base := b * spillBlockEntries
-		visit := func(i int, m petri.Marking) bool {
+		err := s.visitBlock(b, func(i int, m petri.Marking, row []byte) bool {
 			id := base + i
 			if id < lo {
 				return true
 			}
-			if id >= hi || !fn(id, m) {
+			if id >= hi || !fn(id, m, row) {
 				stopped = true
 				return false
 			}
 			return true
-		}
-		var err error
-		if b == len(s.blocks) {
-			_, err = decodeSpillEntries(s.cur, s.places, s.curN, visit)
-		} else {
-			err = s.withBody(b, func(body []byte) error {
-				_, err := decodeSpillBody(body, s.places, visit)
-				return err
-			})
-		}
+		})
 		if err != nil {
 			s.setErr(err)
 			return
@@ -299,14 +282,29 @@ func (s *SpillStore) Span(lo, hi int, fn func(id int, m petri.Marking) bool) {
 // The decoders below validate framing and contents so that corrupt or
 // truncated blocks (bit rot in a spill file) error out rather than
 // panic or return garbage — the same contract FuzzColReader enforces
-// for the trace codec, enforced here by FuzzSpillBlock.
+// for the trace codec, enforced here by FuzzSpillBlock. Every uvarint
+// must be canonical: an overlong encoding such as 0x80 0x00 for 0
+// would decode to a known marking yet differ from its row byte for
+// byte, and the dedup, which compares rows, would then store the
+// state twice.
+
+// canonicalUvarint is binary.Uvarint that also rejects an overlong
+// encoding, returning n == 0, so each accepted value has exactly one
+// encoding.
+func canonicalUvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
+}
 
 // decodeSpillFrame splits one framed block (uvarint body length + body)
 // into its body, rejecting implausible or mismatched lengths.
 func decodeSpillFrame(frame []byte) ([]byte, error) {
-	bl, k := binary.Uvarint(frame)
+	bl, k := canonicalUvarint(frame)
 	if k <= 0 {
-		return nil, fmt.Errorf("reach: spill block: truncated frame header")
+		return nil, fmt.Errorf("reach: spill block: truncated or overlong frame header")
 	}
 	if bl > maxSpillBody {
 		return nil, fmt.Errorf("reach: spill block: implausible body length %d", bl)
@@ -317,25 +315,25 @@ func decodeSpillFrame(frame []byte) ([]byte, error) {
 	return frame[k:], nil
 }
 
-// decodeSpillBody parses a block body — uvarint entry count, then the
-// entries — calling fn for each decoded marking (fn may stop early by
-// returning false). It returns the entry count. Every failure mode of
-// a corrupt block (bad count, truncated varints, counts out of range,
+// decodeSpillBody parses a block body — uvarint row count, then the
+// rows — calling fn for each row (fn may stop early by returning
+// false). It returns the row count. Every failure mode of a corrupt
+// block (bad count, truncated or overlong varints, counts out of range,
 // trailing bytes) is an error, never a panic.
-func decodeSpillBody(body []byte, places int, fn func(i int, m petri.Marking) bool) (int, error) {
-	count, k := binary.Uvarint(body)
+func decodeSpillBody(body []byte, places int, fn func(i int, m petri.Marking, row []byte) bool) (int, error) {
+	count, k := canonicalUvarint(body)
 	if k <= 0 {
-		return 0, fmt.Errorf("reach: spill block: truncated entry count")
+		return 0, fmt.Errorf("reach: spill block: truncated or overlong row count")
 	}
 	if count == 0 || count > spillBlockEntries {
-		return 0, fmt.Errorf("reach: spill block: implausible entry count %d", count)
+		return 0, fmt.Errorf("reach: spill block: implausible row count %d", count)
 	}
 	if int(count)*places > len(body)-k {
-		return 0, fmt.Errorf("reach: spill block: %d entries cannot fit %d bytes", count, len(body)-k)
+		return 0, fmt.Errorf("reach: spill block: %d rows cannot fit %d bytes", count, len(body)-k)
 	}
 	stopped := false
-	off, err := decodeSpillEntries(body[k:], places, int(count), func(i int, m petri.Marking) bool {
-		if fn != nil && !fn(i, m) {
+	off, err := decodeSpillRows(body[k:], places, int(count), func(i int, m petri.Marking, row []byte) bool {
+		if fn != nil && !fn(i, m, row) {
 			stopped = true
 			return false
 		}
@@ -350,38 +348,26 @@ func decodeSpillBody(body []byte, places int, fn func(i int, m petri.Marking) bo
 	return int(count), nil
 }
 
-// decodeSpillEntries walks count encoded entries (entry 0 keyframe,
-// rest deltas) calling fn with a reused decode buffer. fn may stop
-// early by returning false. It returns the bytes consumed.
-func decodeSpillEntries(data []byte, places, count int, fn func(i int, m petri.Marking) bool) (int, error) {
+// decodeSpillRows walks count rows of data calling fn with each row's
+// marking, in a reused decode buffer, and its bytes. fn may stop early
+// by returning false. It returns the bytes consumed.
+func decodeSpillRows(data []byte, places, count int, fn func(i int, m petri.Marking, row []byte) bool) (int, error) {
 	cur := make(petri.Marking, places)
 	off := 0
 	for i := 0; i < count; i++ {
-		for p := 0; p < places; p++ {
-			if i == 0 {
-				v, n := binary.Uvarint(data[off:])
-				if n <= 0 {
-					return off, fmt.Errorf("reach: spill block: truncated keyframe")
-				}
-				if v > maxSpillCount {
-					return off, fmt.Errorf("reach: spill block: count %d out of range", v)
-				}
-				cur[p] = int(v)
-				off += n
-			} else {
-				d, n := binary.Varint(data[off:])
-				if n <= 0 {
-					return off, fmt.Errorf("reach: spill block: truncated delta entry")
-				}
-				nv := int64(cur[p]) + d
-				if nv < 0 || nv > maxSpillCount {
-					return off, fmt.Errorf("reach: spill block: count %d out of range", nv)
-				}
-				cur[p] = int(nv)
-				off += n
+		start := off
+		for p := range cur {
+			v, n := canonicalUvarint(data[off:])
+			if n <= 0 {
+				return off, fmt.Errorf("reach: spill block: truncated or overlong count in row %d", i)
 			}
+			if v > maxSpillCount {
+				return off, fmt.Errorf("reach: spill block: count %d out of range", v)
+			}
+			cur[p] = int(v)
+			off += n
 		}
-		if fn != nil && !fn(i, cur) {
+		if fn != nil && !fn(i, cur, data[start:off]) {
 			return off, nil
 		}
 	}

@@ -11,63 +11,17 @@ import (
 )
 
 // TestSpillStoreRoundTrip drives the framed-block codec across sealed,
-// spilled and open blocks with random BFS-like walks and checks every
-// access path, exactly like TestMarkingStoreRoundTrip does for the
-// in-memory store.
+// spilled and open blocks, stride-width and wider rows, and checks
+// every access path, exactly like TestMarkingStoreRoundTrip does for
+// the in-memory store.
 func TestSpillStoreRoundTrip(t *testing.T) {
-	const places, n = 7, 5*spillBlockEntries + 11
-	r := rand.New(rand.NewSource(42))
+	const places, n, wide = 7, 5*spillBlockEntries + 11, 2*spillBlockEntries + 5
+	ref := storeWalk(rand.New(rand.NewSource(42)), places, n, wide)
 	s := NewSpillStore(places, 0, t.TempDir()) // budget 0: every sealed block spills
 	defer s.Close()
-	ref := make([]petri.Marking, 0, n)
-	cur := make(petri.Marking, places)
-	for i := 0; i < n; i++ {
-		for k := 0; k < 1+r.Intn(3); k++ {
-			p := r.Intn(places)
-			cur[p] += r.Intn(5) - 2
-			if cur[p] < 0 {
-				cur[p] = 0
-			}
-		}
-		if id := s.Add(cur); id != i {
-			t.Fatalf("Add returned id %d, want %d", id, i)
-		}
-		ref = append(ref, cur.Clone())
-	}
-	if s.Len() != n {
-		t.Fatalf("Len = %d, want %d", s.Len(), n)
-	}
+	checkStore(t, s, ref, wide)
 	if s.SpilledBytes() == 0 {
 		t.Fatal("budget-0 spill store never spilled")
-	}
-	var buf petri.Marking
-	for _, id := range r.Perm(n) {
-		if got := s.At(id, nil); !got.Equal(ref[id]) {
-			t.Fatalf("At(%d) = %v, want %v", id, got, ref[id])
-		}
-		buf = s.At(id, buf)
-		if !buf.Equal(ref[id]) {
-			t.Fatalf("At(%d, buf) = %v, want %v", id, buf, ref[id])
-		}
-	}
-	for _, span := range [][2]int{{0, n}, {spillBlockEntries - 1, spillBlockEntries + 2}, {17, 17}, {n - 1, n}} {
-		next := span[0]
-		s.Span(span[0], span[1], func(id int, m petri.Marking) bool {
-			if id != next {
-				t.Fatalf("span %v: got id %d, want %d", span, id, next)
-			}
-			if !m.Equal(ref[id]) {
-				t.Fatalf("span %v: id %d = %v, want %v", span, id, m, ref[id])
-			}
-			next++
-			return true
-		})
-		if next != span[1] && span[0] < span[1] {
-			t.Fatalf("span %v stopped at %d", span, next)
-		}
-	}
-	if err := s.Err(); err != nil {
-		t.Fatalf("store error: %v", err)
 	}
 }
 
@@ -79,7 +33,7 @@ func TestSpillStoreCloseRemovesTempFile(t *testing.T) {
 	m := petri.Marking{1, 2, 3}
 	for i := 0; i < 3*spillBlockEntries; i++ {
 		m[0] = i
-		s.Add(m)
+		s.Add(appendMarking(nil, m))
 	}
 	if s.SpilledBytes() == 0 {
 		t.Fatal("store never spilled")
@@ -111,16 +65,12 @@ func TestSpillStoreCloseRemovesTempFile(t *testing.T) {
 // bit-identical to the in-memory oracle — for the serial builder and
 // every shard count — and the temp files must be gone afterwards.
 func TestBuildSpillMatchesMem(t *testing.T) {
-	nets := []struct {
-		name string
-		net  *petri.Net
-		opt  Options
-	}{
+	nets := append([]buildCase{
 		{"mutex", mutexNet(t), Options{}},
 		{"pipeline_8x3", modelgen.DeepPipeline(8, 3, 1), Options{}},
 		{"forkjoin_4x3", modelgen.ForkJoin(4, 3, 3), Options{}},
 		{"truncated", unboundedBranchNet(), Options{MaxStates: 500}},
-	}
+	}, wideTestNets()...)
 	budgets := []int64{0, 256, 1 << 30}
 	for _, tc := range nets {
 		t.Run(tc.name, func(t *testing.T) {

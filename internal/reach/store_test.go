@@ -7,52 +7,71 @@ import (
 	"repro/internal/petri"
 )
 
-// TestMarkingStoreRoundTrip drives the delta/keyframe codec across
-// block boundaries with random BFS-like walks (small per-step deltas)
-// and checks every access path: random at, sequential span, equal.
-func TestMarkingStoreRoundTrip(t *testing.T) {
-	const places, n = 7, 5*storeBlock + 11
-	r := rand.New(rand.NewSource(42))
-	s := NewMemStore(places)
-	ref := make([]petri.Marking, 0, n)
+// storeWalk returns n markings over places from a random BFS-like walk
+// (a few small per-step changes). From step wideFrom on, counts also
+// jump across 127, so a store sees stride-width rows first and wider
+// rows after.
+func storeWalk(r *rand.Rand, places, n, wideFrom int) []petri.Marking {
+	out := make([]petri.Marking, 0, n)
 	cur := make(petri.Marking, places)
 	for i := 0; i < n; i++ {
-		// Mutate a few places, like firing a transition would.
 		for k := 0; k < 1+r.Intn(3); k++ {
 			p := r.Intn(places)
 			cur[p] += r.Intn(5) - 2
+			if i >= wideFrom && r.Intn(4) == 0 {
+				cur[p] = 100 + r.Intn(1<<(8+r.Intn(8)))
+			}
 			if cur[p] < 0 {
 				cur[p] = 0
 			}
 		}
-		if id := s.Add(cur); id != i {
-			t.Fatalf("add returned id %d, want %d", id, i)
-		}
-		ref = append(ref, cur.Clone())
+		out = append(out, cur.Clone())
 	}
+	return out
+}
+
+// checkStore adds ref's rows to s, then checks every access path
+// against ref: random Row and At, with and without reused buffers, and
+// sequential spans, including ones that start mid-block and ones that
+// straddle wide.
+func checkStore(t *testing.T, s StateStore, ref []petri.Marking, wide int) {
+	t.Helper()
+	for i, m := range ref {
+		if id := s.Add(appendMarking(nil, m)); id != i {
+			t.Fatalf("Add returned id %d, want %d", id, i)
+		}
+	}
+	n := len(ref)
 	if s.Len() != n {
 		t.Fatalf("Len = %d, want %d", s.Len(), n)
 	}
-	// Random access, out of order, with and without a reused buffer.
+	r := rand.New(rand.NewSource(int64(n)))
 	var buf petri.Marking
+	var row []byte
 	for _, id := range r.Perm(n) {
 		if got := s.At(id, nil); !got.Equal(ref[id]) {
-			t.Fatalf("at(%d) = %v, want %v", id, got, ref[id])
+			t.Fatalf("At(%d) = %v, want %v", id, got, ref[id])
 		}
 		buf = s.At(id, buf)
 		if !buf.Equal(ref[id]) {
-			t.Fatalf("at(%d, buf) = %v, want %v", id, buf, ref[id])
+			t.Fatalf("At(%d, buf) = %v, want %v", id, buf, ref[id])
+		}
+		row = s.Row(id, row)
+		if want := appendMarking(nil, ref[id]); string(row) != string(want) {
+			t.Fatalf("Row(%d) = %x, want %x", id, row, want)
 		}
 	}
-	// Sequential spans, including ones that start mid-block.
-	for _, span := range [][2]int{{0, n}, {storeBlock - 1, storeBlock + 2}, {17, 17}, {n - 1, n}} {
+	for _, span := range [][2]int{{0, n}, {spillBlockEntries - 1, spillBlockEntries + 2}, {wide - 2, min(wide+3, n)}, {17, 17}, {n - 1, n}} {
 		next := span[0]
-		s.Span(span[0], span[1], func(id int, m petri.Marking) bool {
+		s.Span(span[0], span[1], func(id int, m petri.Marking, row []byte) bool {
 			if id != next {
 				t.Fatalf("span %v: got id %d, want %d", span, id, next)
 			}
 			if !m.Equal(ref[id]) {
 				t.Fatalf("span %v: id %d = %v, want %v", span, id, m, ref[id])
+			}
+			if want := appendMarking(nil, ref[id]); string(row) != string(want) {
+				t.Fatalf("span %v: row %d = %x, want %x", span, id, row, want)
 			}
 			next++
 			return true
@@ -61,37 +80,87 @@ func TestMarkingStoreRoundTrip(t *testing.T) {
 			t.Fatalf("span %v stopped at %d", span, next)
 		}
 	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("store error: %v", err)
+	}
 }
 
-// TestHashMarkingDistinguishes sanity-checks the dedup hash: equal
+// TestMarkingStoreRoundTrip drives the in-memory row store across the
+// switch from stride-width rows (found by id*places) to the end-offset
+// index that the first wider row builds, and checks every access path.
+func TestMarkingStoreRoundTrip(t *testing.T) {
+	const places, n, wide = 7, 5*spillBlockEntries + 11, 2*spillBlockEntries + 5
+	ref := storeWalk(rand.New(rand.NewSource(42)), places, n, wide)
+	s := NewMemStore(places)
+	checkStore(t, s, ref[:wide], wide)
+	if s.ends != nil {
+		t.Fatal("stride-width rows built an end-offset index")
+	}
+	s = NewMemStore(places)
+	checkStore(t, s, ref, wide)
+	if s.ends == nil {
+		t.Fatal("wide rows built no end-offset index")
+	}
+}
+
+// TestHashMarkingDistinguishes sanity-checks both dedup hashes: equal
 // markings hash equal, and small perturbations change the hash (not a
 // collision guarantee — dedup always verifies bytes — just a smoke
 // check that the mixing isn't degenerate).
 func TestHashMarkingDistinguishes(t *testing.T) {
-	m := petri.Marking{3, 0, 200, 1, 0}
-	if hashMarking(m) != hashMarking(m.Clone()) {
-		t.Fatal("equal markings hash differently")
-	}
-	seen := map[uint64]bool{hashMarking(m): true}
-	for i := range m {
-		p := m.Clone()
-		p[i]++
-		h := hashMarking(p)
-		if seen[h] {
-			t.Fatalf("perturbing place %d collides", i)
+	m := petri.Marking{3, 0, 200, 1, 0, 7, 9, 2, 5, 1}
+	for _, h := range []struct {
+		name string
+		fn   func(petri.Marking) uint64
+	}{
+		{"hashMarking", hashMarking},
+		{"hashRow", func(m petri.Marking) uint64 { return hashRow(appendMarking(nil, m)) }},
+	} {
+		if h.fn(m) != h.fn(m.Clone()) {
+			t.Fatalf("%s: equal markings hash differently", h.name)
 		}
-		seen[h] = true
+		seen := map[uint64]bool{h.fn(m): true}
+		for i := range m {
+			p := m.Clone()
+			p[i]++
+			v := h.fn(p)
+			if seen[v] {
+				t.Fatalf("%s: perturbing place %d collides", h.name, i)
+			}
+			seen[v] = true
+		}
+		// The swap of two unequal counts must change the hash (a pure sum
+		// would not).
+		sw := m.Clone()
+		sw[0], sw[1] = sw[1], sw[0]
+		if h.fn(sw) == h.fn(m) {
+			t.Fatalf("%s: position-swapped marking collides", h.name)
+		}
 	}
-	// The swap of two unequal counts must change the hash (a pure sum
-	// would not).
-	sw := petri.Marking{0, 3, 200, 1, 0}
-	if hashMarking(sw) == hashMarking(m) {
-		t.Fatal("position-swapped marking collides")
+	// A row that is a prefix of another, zero-padded, must hash apart:
+	// the word hash folds in the length.
+	if hashRow([]byte{1, 2, 3}) == hashRow([]byte{1, 2, 3, 0}) {
+		t.Fatal("hashRow: zero-padded row collides")
 	}
-	// The root, the frontier's encoded candidates and hashTimed share
-	// one hash: hashMarking(m) is FNV-1a over m's keyframe bytes, and
-	// those bytes decode back to m. Counts reach past 1<<14, so the
-	// varints run to three bytes.
+	// Both low bits (the owning shard) and high bits (the table slot)
+	// must vary across rows that differ in one byte.
+	var low, high [2]int
+	row := make([]byte, 36)
+	for i := 0; i < 256; i++ {
+		row[i%len(row)] = byte(i)
+		h := hashRow(row)
+		low[h&1]++
+		high[h>>63]++
+	}
+	if min(low[0], low[1], high[0], high[1]) < 64 {
+		t.Fatalf("hashRow bits are lopsided: low %v, high %v", low, high)
+	}
+}
+
+// TestReadMarkingRoundTrip checks that readMarking inverts
+// appendMarking on both of its paths: one byte per count, and varints
+// of up to three bytes.
+func TestReadMarkingRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 1000; i++ {
 		m := make(petri.Marking, 1+r.Intn(12))
@@ -99,12 +168,10 @@ func TestHashMarkingDistinguishes(t *testing.T) {
 			m[p] = r.Intn(1 << (1 + r.Intn(16)))
 		}
 		b := appendMarking(nil, m)
-		if hashBytes(b) != hashMarking(m) {
-			t.Fatalf("%v: FNV of the encoding %x != hashMarking", m, b)
-		}
 		back := make(petri.Marking, len(m))
-		if n := readMarking(b, back); n != len(b) || !back.Equal(m) {
-			t.Fatalf("%v: read back %v from %d of %d bytes", m, back, n, len(b))
+		readMarking(b, back)
+		if !back.Equal(m) {
+			t.Fatalf("%v: read back %v from %x", m, back, b)
 		}
 	}
 }

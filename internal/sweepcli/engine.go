@@ -63,7 +63,7 @@ func (f *EngineFlags) RegisterState(fs *flag.FlagSet) {
 	fs.IntVar(&f.MaxStates, "max-states", 0, "state-space cap per exploration (0 = 100000)")
 	fs.IntVar(&f.BoundCap, "bound-cap", 0, "flag a place as potentially unbounded past this token count (0 = 4096)")
 	fs.IntVar(&f.Explore, "explore-shards", 0, "exploration goroutines per state-space build (0 = GOMAXPROCS,\nat most 256; never affects results)")
-	fs.StringVar(&f.Store, "store", "", "marking store: mem (in-memory delta store, the default) or spill\n(columnar blocks spilling to a temp file; implied by -spill-budget\nor -spill-dir). Results are bit-identical either way")
+	fs.StringVar(&f.Store, "store", "", "marking store: mem (in-memory row store, the default) or spill\n(blocks of rows spilling to a temp file; implied by -spill-budget\nor -spill-dir). Results are bit-identical either way")
 	fs.Int64Var(&f.SpillBudget, "spill-budget", 0, "with the spill store: in-memory byte budget for sealed marking\nblocks before they spill to disk (0 with -store spill = spill\nevery sealed block)")
 	fs.StringVar(&f.SpillDir, "spill-dir", "", "directory for spill temp files (empty = the system temp dir)")
 }
