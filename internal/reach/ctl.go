@@ -13,6 +13,9 @@ import (
 type StateGraph interface {
 	NumNodes() int
 	Succ(id int) []int
+	// Deadlocked reports whether node id is a deadlock. A node that
+	// truncation left without successors is not one.
+	Deadlocked(id int) bool
 	MarkingAt(id int) petri.Marking
 	PlaceByName(name string) (petri.PlaceID, bool)
 }
@@ -187,7 +190,7 @@ func (deadlockAtom) String() string { return "deadlock" }
 func (deadlockAtom) check(g StateGraph, c *checker) []bool {
 	out := make([]bool, g.NumNodes())
 	for i := range out {
-		out[i] = len(c.succ[i]) == 0
+		out[i] = g.Deadlocked(i)
 	}
 	return out
 }

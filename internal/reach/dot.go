@@ -16,7 +16,7 @@ func (g *Graph) DOT() string {
 	g.EachMarking(func(id int, m petri.Marking) bool {
 		n := &g.Nodes[id]
 		shape := "ellipse"
-		if len(n.Out) == 0 {
+		if g.Deadlocked(id) {
 			shape = "doublecircle"
 		}
 		fmt.Fprintf(&b, "  n%d [shape=%s label=\"#%d\\n%s\"];\n",
@@ -35,9 +35,9 @@ func (g *Graph) DOT() string {
 func (g *TimedGraph) DOT() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", g.Net.Name+"_treach")
-	for _, n := range g.Nodes {
+	for id, n := range g.Nodes {
 		shape := "ellipse"
-		if len(n.Out) == 0 {
+		if g.Deadlocked(id) {
 			shape = "doublecircle"
 		}
 		fmt.Fprintf(&b, "  n%d [shape=%s label=\"#%d\\n%s\"];\n",

@@ -25,6 +25,10 @@ type space[S any] interface {
 	holds(w int, id int32, s *S) bool
 	// same reports whether two candidates carry the same state.
 	same(a, b *S) bool
+	// level opens the commits of nodes [lo, lo+len(counts)): node lo+i
+	// has counts[i] candidates, total in all. It runs at the barrier,
+	// before the level's first commit.
+	level(lo int, counts []int32, total int)
 	// commit attaches s as a successor of node src, sequentially in
 	// global candidate order. id is the node already holding s's state,
 	// or -1 if it is new. It returns the edge's target (-1 if the state
@@ -130,18 +134,33 @@ func (t *idTable) insert(h uint64, id int32) {
 	t.n++
 }
 
+// BuildStats counts the work of one build. The counters are
+// diagnostics: no CLI output, cell record or cache key carries them.
+type BuildStats struct {
+	Levels     int // frontier levels expanded
+	Candidates int // successors generated, one per enabled firing
+	LevelDups  int // candidates whose state an earlier candidate of the same level holds
+	SeenHits   int // candidates whose state a committed node holds
+}
+
 // explore is the level-synchronized sharded-frontier search behind
 // Build and BuildTimed. Each level is the id range [lo, hi) committed
 // last round, in order, exactly like a serial FIFO queue. Shards
 // expand contiguous chunks of it in parallel; each candidate's owning
-// shard (hash % shards) resolves it against the shard's table of
-// committed ids and its table of the level's earlier new candidates,
-// comparing states on every hash match; then the candidates commit
-// sequentially in (node, successor) order, which numbers new states
-// exactly as the serial build does. The result is therefore
-// bit-identical for any shard count. ctx is checked at every level
-// barrier, where no goroutine is in flight.
-func explore[S any](ctx context.Context, sp space[S], root S, shards int) error {
+// shard (hash % shards) resolves it against the shard's table of the
+// level's earlier new candidates and, on a miss, its table of
+// committed ids, comparing states on every hash match. The two tables
+// hold disjoint states: nothing commits while shards resolve, so the
+// committed table is read-only, and a candidate enters the level's
+// table only after missing it. The order of the probes therefore
+// cannot change a verdict; the level's table goes first because most
+// candidates repeat a state of their own level, and it is the smaller
+// one. Then the candidates commit sequentially in (node, successor)
+// order, which numbers new states exactly as the serial build does.
+// The result is therefore bit-identical for any shard count. ctx is
+// checked at every level barrier, where no goroutine is in flight.
+// explore adds its counts to st.
+func explore[S any](ctx context.Context, sp space[S], root S, shards int, st *BuildStats) error {
 	seen := make([]idTable, shards) // per shard: committed (hash, id)
 	pend := make([]idTable, shards) // per shard: the level's new (hash, seq)
 	for w := range seen {
@@ -153,12 +172,13 @@ func explore[S any](ctx context.Context, sp space[S], root S, shards int) error 
 	var (
 		outs     = make([][]cand[S], shards) // per-shard expansion
 		errs     = make([]error, shards)
-		byShard  = make([][]int32, shards) // per shard: owned sequence numbers, ascending
-		next     = make([]int, shards)     // per shard: its segment of res, then commit's cursor
-		res      []resolved                // verdicts, shard by shard, each in byShard order
-		counts   []int32                   // successors per level node
-		flat     []cand[S]                 // the level's candidates in global order
-		assigned []int32                   // committed id per candidate
+		byShard  = make([][]int32, shards)    // per shard: owned sequence numbers, ascending
+		next     = make([]int, shards)        // per shard: its segment of res, then commit's cursor
+		tally    = make([]BuildStats, shards) // per shard: the level's dedup verdict counts
+		res      []resolved                   // verdicts, shard by shard, each in byShard order
+		counts   []int32                      // successors per level node
+		flat     []cand[S]                    // the level's candidates in global order
+		assigned []int32                      // committed id per candidate
 		wg       sync.WaitGroup
 	)
 	for lo, hi := 0, 1; lo < hi; {
@@ -211,21 +231,32 @@ func explore[S any](ctx context.Context, sp space[S], root S, shards int) error 
 				p := &pend[w]
 				p.reset(len(byShard[w]))
 				r := res[next[w] : next[w]+len(byShard[w])]
+				var dups, hits int
 				for k, seq := range byShard[w] {
 					c := &flat[seq]
-					v := resolved{node: seen[w].lookup(c.hash, func(id int32) bool { return sp.holds(w, id, &c.s) }), dup: -1}
-					if v.node < 0 {
-						v.dup = p.lookup(c.hash, func(ps int32) bool { return sp.same(&flat[ps].s, &c.s) })
-						if v.dup < 0 {
-							p.insert(c.hash, seq)
-						}
+					v := resolved{node: -1, dup: p.lookup(c.hash, func(ps int32) bool { return sp.same(&flat[ps].s, &c.s) })}
+					if v.dup >= 0 {
+						dups++
+					} else if v.node = seen[w].lookup(c.hash, func(id int32) bool { return sp.holds(w, id, &c.s) }); v.node >= 0 {
+						hits++
+					} else {
+						p.insert(c.hash, seq)
 					}
 					r[k] = v
 				}
+				tally[w].LevelDups, tally[w].SeenHits = dups, hits
 			}(w)
 		}
 		wg.Wait()
+		st.Levels++
+		st.Candidates += len(flat)
+		for w := range tally {
+			st.LevelDups += tally[w].LevelDups
+			st.SeenHits += tally[w].SeenHits
+			tally[w] = BuildStats{}
+		}
 
+		sp.level(lo, counts, len(flat))
 		assigned = slices.Grow(assigned[:0], len(flat))[:len(flat)]
 		n, seq := hi, 0 // new ids are dense from hi
 		for i, cnt := range counts {

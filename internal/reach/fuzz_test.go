@@ -2,12 +2,105 @@ package reach
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"testing"
 
 	"repro/internal/petri"
 )
+
+// fuzzBytes reads decoding choices from fuzz input; past the end it
+// yields zeros, so every input decodes to a net.
+type fuzzBytes []byte
+
+func (d *fuzzBytes) next() int {
+	if len(*d) == 0 {
+		return 0
+	}
+	b := (*d)[0]
+	*d = (*d)[1:]
+	return int(b)
+}
+
+// fuzzReachNet decodes fuzz input into a small plain net and its build
+// options: up to 6 places, some starting at counts of 124 or more so
+// that rows widen past one byte per place mid-build, and up to 70
+// transitions, so the candidate bitset's second word is reachable.
+// Each transition's input and output places come from a bit mask whose
+// two high bits give the first arc's weight (1 to 4); an empty input
+// mask makes a source transition, and a third byte may add an
+// inhibitor arc. MaxStates stays small, so unbounded nets truncate.
+func fuzzReachNet(data []byte) (*petri.Net, Options) {
+	d := fuzzBytes(data)
+	np := 1 + d.next()%6
+	nt := 1 + d.next()%70
+	opt := Options{MaxStates: 1 + d.next()%150}
+	b := petri.NewBuilder("fuzz")
+	for p := 0; p < np; p++ {
+		c := d.next()
+		if c&0x80 != 0 {
+			b.Place(fmt.Sprintf("p%d", p), 124+c%8)
+		} else {
+			b.Place(fmt.Sprintf("p%d", p), c%4)
+		}
+	}
+	place := func(i int) string { return fmt.Sprintf("p%d", i%np) }
+	for i := 0; i < nt; i++ {
+		in, out, inhib := d.next(), d.next(), d.next()
+		tb := b.Trans(fmt.Sprintf("t%d", i))
+		arcs := func(mask int, add func(string, ...int) *petri.TransBuilder) {
+			w := 1 + mask>>6
+			for p := 0; p < np; p++ {
+				if mask&(1<<p) != 0 {
+					add(place(p), w)
+					w = 1
+				}
+			}
+		}
+		arcs(in, tb.In)
+		arcs(out, tb.Out)
+		if inhib&0x80 != 0 {
+			tb.Inhib(place(inhib), 1+inhib>>4&7)
+		}
+	}
+	return b.MustBuild(), opt
+}
+
+// FuzzBuild extends the oracle property tests to arbitrary small plain
+// nets: Build at shards 1 and 3, with the in-memory and the spill
+// store, must reproduce the frozen serial oracle bit for bit.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 3, 40, 1, 0, 0x01, 0x02, 0, 0x02, 0x01, 0x85, 0x00, 0x41, 0x90})
+	f.Add([]byte{3, 69, 149, 2, 1, 0, 0x01, 0x02, 0, 0x02, 0x04, 0, 0x04, 0x01, 0xa1})
+	f.Add([]byte{2, 2, 100, 0x83, 1, 0x42, 0x02, 0, 0x02, 0x01, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net, opt := fuzzReachNet(data)
+		ctx := context.Background()
+		want, err := BuildSerial(ctx, net, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 3} {
+			for _, store := range []string{StoreMem, StoreSpill} {
+				o := opt
+				o.Shards, o.Store = shards, store
+				if store == StoreSpill {
+					o.SpillBudget, o.SpillDir = 64, t.TempDir()
+				}
+				got, err := Build(ctx, net, o)
+				if err != nil {
+					t.Fatalf("shards=%d store=%s: %v", shards, store, err)
+				}
+				graphsIdentical(t, want, got)
+				got.Close()
+			}
+		}
+		want.Close()
+	})
+}
 
 // FuzzParseFormula hardens the CTL formula parser the same way the
 // expr/ptl/marking fuzz targets harden theirs: arbitrary input must

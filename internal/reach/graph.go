@@ -24,6 +24,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -136,6 +138,11 @@ type Graph struct {
 	// CapExceeded names a place whose token count exceeded BoundCap
 	// (empty if none): a strong hint of unboundedness.
 	CapExceeded string
+	// Stats counts the work of the build that made the graph.
+	Stats BuildStats
+	// partial is, when Truncated, the node whose expansion the cap
+	// interrupted; it and every later node are not fully expanded.
+	partial int
 }
 
 // MarkingOf decodes and returns the marking of one node. Each call
@@ -195,7 +202,7 @@ func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sp.finish(explore[markingSucc](ctx, sp, sp.root, sp.shards))
+	return sp.finish(explore[markingSucc](ctx, sp, sp.root, sp.shards, &sp.g.Stats))
 }
 
 // markingSucc is one untimed successor: the marking reached by firing
@@ -208,10 +215,12 @@ type markingSucc struct {
 }
 
 // shardBuf is one shard's reused buffers: the arena its successors of
-// the current level are written into, and holds' copy of a committed
-// row (spill store only).
+// the current level are written into, the candidate transitions of the
+// state being expanded (a bitset), and holds' copy of a committed row
+// (spill store only).
 type shardBuf struct {
 	arena []byte
+	cand  []uint64
 	row   []byte
 }
 
@@ -223,8 +232,9 @@ type placeDelta struct {
 
 // graphSpace is the untimed state space: markings live in the graph's
 // StateStore as rows, candidates in per-shard byte arenas in the same
-// form, and edges in one array laid out in commit (= source) order.
-// commit flags the bound cap and stops at the first truncation.
+// form, and each level's edges in one block of the level's candidate
+// count, since every candidate becomes one edge (levelEdges). commit
+// flags the bound cap and stops at the first truncation.
 type graphSpace struct {
 	g       *Graph
 	opt     Options
@@ -232,13 +242,23 @@ type graphSpace struct {
 	places  int
 	deltas  []placeDelta // per transition: Out minus In, zeros dropped, ...
 	deltaAt []int32      // ... at deltas[deltaAt[t]:deltaAt[t+1]]
+	sources []uint64     // the transitions without input arcs, as a bitset
+	masks   []uint64     // per place: the bitset of Affected, len(sources) words
 	root    markingSucc
 	bufs    []shardBuf
 	cur     petri.Marking // commit's decode buffer
 	rootCap string        // the place over BoundCap in node 0 ("" if none)
-	edges   []Edge
-	off     []int32 // off[i]: index in edges of node i's first edge
-	err     error   // set by commit when the edges outgrow int32
+	levels  []levelEdges
+	edges   int   // edges committed so far
+	err     error // set by commit when the edges outgrow int32
+}
+
+// levelEdges is one level's edge block: node lo+i's edges are the
+// counts[i] edges after those of nodes lo..lo+i-1.
+type levelEdges struct {
+	lo     int
+	counts []int32
+	block  []Edge
 }
 
 // newGraphSpace validates net, opens the store Options select and
@@ -278,7 +298,24 @@ func newGraphSpace(net *petri.Net, opt Options) (*graphSpace, error) {
 		}
 		s.deltaAt = append(s.deltaAt, int32(len(s.deltas)))
 	}
+	words := (len(net.Trans) + 63) / 64
+	s.sources = make([]uint64, words)
+	for t := range net.Trans {
+		if len(net.Trans[t].In) == 0 {
+			s.sources[t/64] |= 1 << (t % 64)
+		}
+	}
+	s.masks = make([]uint64, places*words)
+	for p := 0; p < places; p++ {
+		for _, t := range net.Affected(petri.PlaceID(p)) {
+			s.masks[p*words+int(t)/64] |= 1 << (t % 64)
+		}
+	}
 	s.bufs = make([]shardBuf, s.shards)
+	cands := make([]uint64, s.shards*words)
+	for w := range s.bufs {
+		s.bufs[w].cand = cands[w*words : (w+1)*words : (w+1)*words]
+	}
 	if _, view := store.(*MemStore); !view {
 		// holds copies committed rows out of this store: give each
 		// shard a buffer that fits the widest row.
@@ -296,9 +333,9 @@ func newGraphSpace(net *petri.Net, opt Options) (*graphSpace, error) {
 	return s, nil
 }
 
-// finish returns the graph with each node's Out a capped view into the
-// one edge array, or closes it and returns the first of err, the edge
-// overflow and the store's sticky error.
+// finish returns the graph with each node's Out a capped view into its
+// level's edge block, or closes it and returns the first of err, the
+// edge overflow and the store's sticky error.
 func (s *graphSpace) finish(err error) (*Graph, error) {
 	if err == nil {
 		err = s.err
@@ -310,18 +347,19 @@ func (s *graphSpace) finish(err error) (*Graph, error) {
 		s.g.Close()
 		return nil, err
 	}
-	n := s.g.store.Len()
-	s.off = reserve(s.off, n+1-len(s.off))
-	for len(s.off) <= n {
-		s.off = append(s.off, int32(len(s.edges)))
+	nodes := make([]Node, s.g.store.Len())
+	for i := range nodes {
+		nodes[i].ID = i
 	}
-	s.g.Nodes = make([]Node, n)
-	for i := range s.g.Nodes {
-		s.g.Nodes[i].ID = i
-		if a, b := s.off[i], s.off[i+1]; a < b {
-			s.g.Nodes[i].Out = s.edges[a:b:b]
+	for _, l := range s.levels {
+		out := l.block
+		for i, n := range l.counts {
+			if n > 0 {
+				nodes[l.lo+i].Out, out = out[:n:n], out[n:]
+			}
 		}
 	}
+	s.g.Nodes = nodes
 	return s.g, nil
 }
 
@@ -340,38 +378,53 @@ func (s *graphSpace) encoded(c *markingSucc) []byte {
 	return s.bufs[c.w].arena[c.off:c.end]
 }
 
-// expand writes each successor's row into shard w's arena. When the
-// parent row is stride-width (one byte per place) and every changed
-// count stays below 128, the successor row is the parent row with only
-// the changed bytes rewritten; otherwise every count is encoded.
+// expand writes each successor's row into shard w's arena. Arc
+// weights are at least 1, so a transition with an input arc is enabled
+// only if one of its input places is marked: the candidates of a state
+// are the transitions its marked places feed plus those without input
+// arcs, tried in ascending id as a full scan would. When the parent row
+// is stride-width (one byte per place) and every changed count stays
+// below 128, the successor row is the parent row with only the changed
+// bytes rewritten; otherwise every count is encoded.
 func (s *graphSpace) expand(w, lo, hi int, succ func(int, markingSucc)) error {
 	if err := s.g.store.Err(); err != nil {
 		return err
 	}
 	net := s.g.Net
 	buf := &s.bufs[w]
-	arena := buf.arena[:0]
+	arena, cand := buf.arena[:0], buf.cand
 	var err error
 	s.g.store.Span(lo, hi, func(id int, m petri.Marking, row []byte) bool {
 		stride := len(row) == s.places
-		for ti := range net.Trans {
-			t := petri.TransID(ti)
-			var ok bool
-			if ok, err = net.Enabled(t, m, nil); err != nil {
-				return false
+		copy(cand, s.sources)
+		for p, c := range m {
+			if c > 0 {
+				for i, mw := range s.masks[p*len(cand) : (p+1)*len(cand)] {
+					cand[i] |= mw
+				}
 			}
-			if !ok {
-				continue
+		}
+		for i, word := range cand {
+			for ; word != 0; word &= word - 1 {
+				ti := i*64 + bits.TrailingZeros64(word)
+				t := petri.TransID(ti)
+				var ok bool
+				if ok, err = net.Enabled(t, m, nil); err != nil {
+					return false
+				}
+				if !ok {
+					continue
+				}
+				off, patched := len(arena), false
+				if stride {
+					arena = append(reserve(arena, len(row)), row...)
+					patched = s.patch(arena[off:], m, ti)
+				}
+				if !patched {
+					arena = s.appendFired(arena[:off], m, ti)
+				}
+				succ(id, markingSucc{w: int32(w), t: int32(t), off: uint32(off), end: uint32(len(arena))})
 			}
-			off, patched := len(arena), false
-			if stride {
-				arena = append(reserve(arena, len(row)), row...)
-				patched = s.patch(arena[off:], m, ti)
-			}
-			if !patched {
-				arena = s.appendFired(arena[:off], m, ti)
-			}
-			succ(id, markingSucc{w: int32(w), t: int32(t), off: uint32(off), end: uint32(len(arena))})
 		}
 		return true
 	})
@@ -426,6 +479,11 @@ func (s *graphSpace) same(a, b *markingSucc) bool {
 	return bytes.Equal(s.encoded(a), s.encoded(b))
 }
 
+// level opens the level's edge block, which commit fills in order.
+func (s *graphSpace) level(lo int, counts []int32, total int) {
+	s.levels = append(s.levels, levelEdges{lo: lo, counts: slices.Clone(counts), block: make([]Edge, 0, total)})
+}
+
 // commit stores a new state's candidate row verbatim. It decodes the
 // row only to check it against BoundCap, and only when the row could
 // exceed it: a stride-width row holds counts below 128 and so cannot
@@ -442,34 +500,53 @@ func (s *graphSpace) commit(src int, c *markingSucc, id int32) (int32, bool) {
 			g.CapExceeded = s.overCap(s.cur)
 		}
 		if g.store.Len() >= s.opt.MaxStates {
-			g.Truncated = true
+			s.truncate(src)
 			return -1, true
 		}
 		id = int32(g.store.Add(row))
 	} else if id == 0 && g.CapExceeded == "" {
 		g.CapExceeded = s.rootCap
 	}
-	if len(s.edges) == math.MaxInt32 {
+	if s.edges == math.MaxInt32 {
 		s.err = fmt.Errorf("reach: more than %d edges", math.MaxInt32)
 		return -1, true
 	}
-	for len(s.off) <= src {
-		s.off = append(reserve(s.off, 1), int32(len(s.edges)))
-	}
-	s.edges = append(reserve(s.edges, 1), Edge{Trans: c.t, To: id})
+	s.edges++
+	l := &s.levels[len(s.levels)-1]
+	l.block = append(l.block, Edge{Trans: c.t, To: id})
 	return id, false
+}
+
+// truncate stops the build inside node src's expansion: src keeps the
+// edges committed so far, and the level's later nodes keep none.
+func (s *graphSpace) truncate(src int) {
+	s.g.Truncated, s.g.partial = true, src
+	l := &s.levels[len(s.levels)-1]
+	i, kept := src-l.lo, len(l.block)
+	for _, n := range l.counts[:i] {
+		kept -= int(n)
+	}
+	l.counts[i] = int32(kept)
+	clear(l.counts[i+1:])
 }
 
 // serialCheckEvery is how often (in processed nodes) the serial
 // builders poll ctx and the store's sticky error.
 const serialCheckEvery = 1024
 
-// Deadlocks returns the IDs of nodes with no outgoing edges.
+// Deadlocked reports whether node id is a deadlock: it has no
+// outgoing edge, and its expansion ran to the end. A truncated build
+// leaves the nodes from the one it stopped in onwards unexpanded.
+func (g *Graph) Deadlocked(id int) bool {
+	return len(g.Nodes[id].Out) == 0 && !(g.Truncated && id >= g.partial)
+}
+
+// Deadlocks returns the IDs of the deadlocked nodes (see Deadlocked).
 func (g *Graph) Deadlocks() []int {
 	var out []int
-	for i := range g.Nodes {
-		if len(g.Nodes[i].Out) == 0 {
-			out = append(out, g.Nodes[i].ID)
+	for id := range g.Nodes {
+		if g.Deadlocked(id) {
+			out = append(out, id)
 		}
 	}
 	return out

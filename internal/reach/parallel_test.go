@@ -85,7 +85,47 @@ func untimedTestNets(t *testing.T) []buildCase {
 		{"cache_processor", cached, Options{}},
 		{"truncated", unboundedBranchNet(), Options{MaxStates: 500}},
 		{"capped", unboundedBranchNet(), Options{MaxStates: 2000, BoundCap: 16}},
-	}, wideTestNets()...)
+	}, append(wideTestNets(), scanTestNets()...)...)
+}
+
+// scanTestNets are the cases of expand's candidate scan, which tries
+// only the transitions that read a marked place plus those without
+// input arcs: a net of more than 64 transitions, so the candidate
+// bitset spans two words; a source transition bounded only by an
+// inhibitor arc; and a weighted input arc whose place is marked with
+// fewer tokens than the weight.
+func scanTestNets() []buildCase {
+	const places, trans = 10, 70
+	b := petri.NewBuilder("seventy")
+	for p := 0; p < places; p++ {
+		b.Place(fmt.Sprintf("p%d", p), []int{2, 1, 0, 0}[p%4])
+	}
+	for i := 0; i < trans; i++ {
+		b.Trans(fmt.Sprintf("t%d", i)).In(fmt.Sprintf("p%d", i%places)).Out(fmt.Sprintf("p%d", (7*i+i/places+1)%places))
+	}
+	seventy := b.MustBuild()
+
+	b = petri.NewBuilder("inhibited_source")
+	b.Place("q", 0)
+	b.Place("r", 0)
+	b.Trans("gen").Out("q").Inhib("q", 3)
+	b.Trans("move").In("q").Out("r").Inhib("r", 4)
+	b.Trans("drain").In("r", 2)
+	source := b.MustBuild()
+
+	b = petri.NewBuilder("weight_short")
+	b.Place("a", 3)
+	b.Place("b", 0)
+	b.Trans("pair").In("a", 2).Out("b")
+	b.Trans("one").In("a").Out("b")
+	b.Trans("back").In("b", 3).Out("a", 3)
+	short := b.MustBuild()
+
+	return []buildCase{
+		{"seventy_transitions", seventy, Options{MaxStates: 3000}},
+		{"inhibited_source", source, Options{}},
+		{"weight_short", short, Options{}},
+	}
 }
 
 // wideTestNets are the cases whose counts reach 128 or more, so their
@@ -194,7 +234,7 @@ func TestBuildsMatchOraclesWithHashCollisions(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := sp.finish(explore[markingSucc](ctx, collidingSpace[markingSucc]{sp}, sp.root, sp.shards))
+				got, err := sp.finish(explore[markingSucc](ctx, collidingSpace[markingSucc]{sp}, sp.root, sp.shards, &sp.g.Stats))
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
@@ -213,7 +253,7 @@ func TestBuildsMatchOraclesWithHashCollisions(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := explore[timedSucc](ctx, collidingSpace[timedSucc]{sp}, sp.root, shards); err != nil {
+				if err := explore[timedSucc](ctx, collidingSpace[timedSucc]{sp}, sp.root, shards, &sp.g.Stats); err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
 				timedGraphsIdentical(t, want, sp.g)
@@ -302,11 +342,55 @@ func TestShardsClamped(t *testing.T) {
 	graphsIdentical(t, want, got)
 }
 
+// TestBuildStats checks the build counters against the graphs they
+// describe: every candidate of an untruncated build is one edge and
+// either a new state, a repeat within its level or a committed state;
+// and since the verdicts do not depend on the shard count, neither do
+// the counts.
+func TestBuildStats(t *testing.T) {
+	ctx := context.Background()
+	var want BuildStats
+	for _, shards := range []int{1, 3} {
+		g, err := Build(ctx, modelgen.ForkJoin(4, 3, 3), Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges := 0
+		for i := range g.Nodes {
+			edges += len(g.Nodes[i].Out)
+		}
+		st := g.Stats
+		if st.Candidates != edges || st.Candidates-st.LevelDups-st.SeenHits != len(g.Nodes)-1 || st.Levels == 0 {
+			t.Fatalf("shards=%d: %+v for %d nodes and %d edges", shards, st, len(g.Nodes), edges)
+		}
+		if shards == 1 {
+			want = st
+		} else if st != want {
+			t.Fatalf("shards=%d: %+v, want %+v as at one shard", shards, st, want)
+		}
+	}
+	net, err := pipeline.Processor(pipeline.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, err := BuildTimed(ctx, net, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := 0
+	for _, n := range tg.Nodes {
+		edges += len(n.Out)
+	}
+	if st := tg.Stats; st.Candidates != edges || st.Candidates-st.LevelDups-st.SeenHits != len(tg.Nodes)-1 {
+		t.Fatalf("timed: %+v for %d nodes and %d edges", st, len(tg.Nodes), edges)
+	}
+}
+
 // TestBuildAllocsPerState is the exploration core's allocation budget,
 // in the spirit of sim's TestRunAllocsPerEvent: candidates live in
 // reused per-shard arenas, dedup in open-addressing tables and edges in
-// one array, so a build allocates only as its buffers grow and per
-// level, never per state. The net is forkjoin_7x4, the 78,126-state
+// one block per level, so a build allocates only as its buffers grow
+// and per level, never per state. The net is forkjoin_7x4, the 78,126-state
 // space the exact_analysis benchmark explores every unit.
 func TestBuildAllocsPerState(t *testing.T) {
 	net := modelgen.ForkJoin(7, 4, 1)
@@ -326,11 +410,10 @@ func TestBuildAllocsPerState(t *testing.T) {
 }
 
 // TestBuildAllocBytesPerState bounds the bytes one forkjoin_7x4 build
-// allocates per state at one shard. The store's rows, the edges and
-// the edge offsets grow by doubling rather than by append's 1.25x for
-// large slices, which would copy each of them several times over; a
-// build allocates about 580 B/state with doubling and about 960 with
-// append's growth.
+// allocates per state at one shard. The store's rows grow by doubling
+// rather than by append's 1.25x for large slices, which would copy them
+// several times over, and each level's edges take one block of exactly
+// the level's size; a build allocates about 505 B/state.
 func TestBuildAllocBytesPerState(t *testing.T) {
 	const bound = 700
 	net := modelgen.ForkJoin(7, 4, 1)
@@ -389,6 +472,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 				b.ReportMetric(states*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 				b.ReportMetric(float64(testing.AllocsPerRun(1, func() { build() }))/states, "allocs/state")
 				b.ReportMetric(resident, "resident-B/state")
+				b.ReportMetric(float64(g.Stats.LevelDups)/float64(g.Stats.Candidates), "level-dup-frac")
 			})
 		}
 	}

@@ -153,6 +153,78 @@ func TestTruncation(t *testing.T) {
 	}
 }
 
+// TestTruncatedGraphReportsNoFalseDeadlocks is the regression test for
+// truncation reporting unexpanded nodes as deadlocks: unboundedBranchNet
+// never deadlocks, so a truncated graph of it must report none, in
+// Deadlocks, in the CTL atom and in Summary, for every shard count and
+// for the timed graph too. A deadlock expanded before the cap still
+// counts.
+func TestTruncatedGraphReportsNoFalseDeadlocks(t *testing.T) {
+	ctx := context.Background()
+	for _, shards := range []int{1, 3} {
+		g, err := Build(ctx, unboundedBranchNet(), Options{MaxStates: 500, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !g.Truncated {
+			t.Fatal("graph should be truncated")
+		}
+		if dl := g.Deadlocks(); len(dl) != 0 {
+			t.Errorf("shards=%d: %d deadlocks reported, first #%d", shards, len(dl), dl[0])
+		}
+		if !Holds(g, AG(Not(Deadlock()))) {
+			t.Errorf("shards=%d: AG(!deadlock) fails on a truncated deadlock-free net", shards)
+		}
+		if !strings.Contains(g.Summary(), "deadlocks: 0") {
+			t.Errorf("shards=%d: summary: %s", shards, g.Summary())
+		}
+	}
+
+	b := petri.NewBuilder("timed_unbounded")
+	b.Place("src", 1)
+	b.Place("a", 0)
+	b.Trans("grow").In("src").Out("src").Out("a").FiringConst(1)
+	tg, err := BuildTimed(ctx, b.MustBuild(), Options{MaxStates: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tg.Truncated {
+		t.Fatal("timed graph should be truncated")
+	}
+	if dl := tg.Deadlocks(); len(dl) != 0 {
+		t.Errorf("timed: %d deadlocks reported, first #%d", len(dl), dl[0])
+	}
+	if !Holds(tg, AG(Not(Deadlock()))) {
+		t.Error("timed: AG(!deadlock) fails on a truncated deadlock-free net")
+	}
+
+	// Every state with a token in go can stop for good: the deadlocks
+	// expanded before the cap are real and must stay reported.
+	b = petri.NewBuilder("stoppable")
+	b.Place("go", 1)
+	b.Place("a", 0)
+	b.Trans("grow").In("go").Out("go").Out("a")
+	b.Trans("stop").In("go")
+	net := b.MustBuild()
+	g, err := Build(ctx, net, Options{MaxStates: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl := g.Deadlocks()
+	if !g.Truncated || len(dl) == 0 {
+		t.Fatalf("truncated %v, %d deadlocks; want a truncated graph with deadlocks", g.Truncated, len(dl))
+	}
+	goID := net.MustPlace("go")
+	for _, id := range dl {
+		if g.MarkingOf(id)[goID] != 0 {
+			t.Errorf("node #%d reported as a deadlock with a token in go", id)
+		}
+	}
+	if Holds(g, AG(Not(Deadlock()))) {
+		t.Error("AG(!deadlock) holds despite expanded deadlocks")
+	}
+}
+
 func TestCoverabilityFindsUnbounded(t *testing.T) {
 	b := petri.NewBuilder("grow")
 	b.Place("src", 1)

@@ -70,7 +70,7 @@ func TestBuildSpillMatchesMem(t *testing.T) {
 		{"pipeline_8x3", modelgen.DeepPipeline(8, 3, 1), Options{}},
 		{"forkjoin_4x3", modelgen.ForkJoin(4, 3, 3), Options{}},
 		{"truncated", unboundedBranchNet(), Options{MaxStates: 500}},
-	}, wideTestNets()...)
+	}, append(wideTestNets(), scanTestNets()...)...)
 	budgets := []int64{0, 256, 1 << 30}
 	for _, tc := range nets {
 		t.Run(tc.name, func(t *testing.T) {

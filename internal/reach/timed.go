@@ -36,6 +36,8 @@ type TimedNode struct {
 	// transitions, sorted by transition.
 	Enab []Remaining
 	Out  []TimedEdge
+	// cut is set when truncation dropped a successor of this state.
+	cut bool
 }
 
 // Remaining pairs a transition with a remaining duration.
@@ -60,6 +62,8 @@ type TimedGraph struct {
 	Net       *petri.Net
 	Nodes     []*TimedNode
 	Truncated bool
+	// Stats counts the work of the build that made the graph.
+	Stats BuildStats
 }
 
 // constDelay extracts a constant delay, rejecting distributions.
@@ -115,7 +119,7 @@ func BuildTimed(ctx context.Context, net *petri.Net, opt Options) (*TimedGraph, 
 	if err != nil {
 		return nil, err
 	}
-	if err := explore[timedSucc](ctx, sp, sp.root, opt.shardCount()); err != nil {
+	if err := explore[timedSucc](ctx, sp, sp.root, opt.shardCount(), &sp.g.Stats); err != nil {
 		return nil, err
 	}
 	return sp.g, nil
@@ -165,11 +169,14 @@ func (s *timedSpace) holds(_ int, id int32, c *timedSucc) bool {
 
 func (s *timedSpace) same(a, b *timedSucc) bool { return sameState(a.node, b.node) }
 
+func (s *timedSpace) level(int, []int32, int) {}
+
 func (s *timedSpace) commit(src int, c *timedSucc, id int32) (int32, bool) {
 	g := s.g
 	if id < 0 {
 		if len(g.Nodes) >= s.max {
 			g.Truncated = true
+			g.Nodes[src].cut = true
 			return -1, false
 		}
 		id = int32(len(g.Nodes))
@@ -337,12 +344,19 @@ func constOf(d petri.Delay) (petri.Time, bool) {
 	return d.Const()
 }
 
-// Deadlocks returns nodes with no outgoing edges.
+// Deadlocked reports whether node id is a deadlock: it has no
+// successor, and truncation dropped none.
+func (g *TimedGraph) Deadlocked(id int) bool {
+	n := g.Nodes[id]
+	return len(n.Out) == 0 && !n.cut
+}
+
+// Deadlocks returns the deadlocked nodes (see Deadlocked).
 func (g *TimedGraph) Deadlocks() []int {
 	var out []int
-	for _, n := range g.Nodes {
-		if len(n.Out) == 0 {
-			out = append(out, n.ID)
+	for id := range g.Nodes {
+		if g.Deadlocked(id) {
+			out = append(out, id)
 		}
 	}
 	return out
