@@ -433,19 +433,27 @@ func TestBuildAllocBytesPerState(t *testing.T) {
 // is the net the exact_analysis perfbench workload explores every unit.
 // Besides the allocations it reports throughput and the live heap the
 // finished graph holds per state: nodes plus edges plus store, measured
-// once after a collection with the graph still reachable.
+// once after a collection with the graph still reachable. The spill row
+// builds forkjoin_7x4 again with a 64 KiB budget, so most sealed marking
+// blocks go through the spill file; it also reports the bytes spilled
+// per state, and fails if nothing spilled, which would make it measure
+// the in-memory path.
 func BenchmarkBuildParallel(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		net  *petri.Net
+		opt  Options
 	}{
-		{"pipeline_12x5", modelgen.DeepPipeline(12, 5, 1)},
-		{"forkjoin_7x4", modelgen.ForkJoin(7, 4, 1)},
+		{"pipeline_12x5", modelgen.DeepPipeline(12, 5, 1), Options{}},
+		{"forkjoin_7x4", modelgen.ForkJoin(7, 4, 1), Options{}},
+		{"forkjoin_7x4/spill", modelgen.ForkJoin(7, 4, 1), Options{Store: StoreSpill, SpillBudget: 64 << 10, SpillDir: b.TempDir()}},
 	} {
 		for _, shards := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/shards=%d", bc.name, shards), func(b *testing.B) {
+				opt := bc.opt
+				opt.Shards = shards
 				build := func() *Graph {
-					g, err := Build(context.Background(), bc.net, Options{Shards: shards})
+					g, err := Build(context.Background(), bc.net, opt)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -460,19 +468,26 @@ func BenchmarkBuildParallel(b *testing.B) {
 				runtime.ReadMemStats(&ms)
 				states := float64(len(g.Nodes))
 				resident := float64(ms.HeapAlloc-before) / states
-				runtime.KeepAlive(g)
+				spilled := g.SpilledBytes()
+				g.Close()
+				if opt.Store == StoreSpill && spilled == 0 {
+					b.Fatalf("a %d-byte budget spilled nothing over %.0f states", opt.SpillBudget, states)
+				}
 
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					build()
+					build().Close()
 				}
 				b.StopTimer()
 				b.ReportMetric(states, "states")
 				b.ReportMetric(states*float64(b.N)/b.Elapsed().Seconds(), "states/s")
-				b.ReportMetric(float64(testing.AllocsPerRun(1, func() { build() }))/states, "allocs/state")
+				b.ReportMetric(float64(testing.AllocsPerRun(1, func() { build().Close() }))/states, "allocs/state")
 				b.ReportMetric(resident, "resident-B/state")
 				b.ReportMetric(float64(g.Stats.LevelDups)/float64(g.Stats.Candidates), "level-dup-frac")
+				if opt.Store == StoreSpill {
+					b.ReportMetric(float64(spilled)/states, "spilled-B/state")
+				}
 			})
 		}
 	}

@@ -221,8 +221,9 @@ func TestEngineReuseMatchesOracle(t *testing.T) {
 // and a 16x longer horizon — any per-event allocation would make the
 // long run's figure strictly larger.
 //
-// The cache-processor case is the exact path of a cache sweep cell: the
-// sweep's net observed by a stats.Stats accumulator.
+// The fork-join case joins 32 branches at once, so one end refreshes
+// a wide fan-in. The cache-processor case is the exact path of a cache
+// sweep cell: the sweep's net observed by a stats.Stats accumulator.
 func TestRunAllocsPerEvent(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -230,6 +231,7 @@ func TestRunAllocsPerEvent(t *testing.T) {
 		obs  func(*petri.Net) trace.Observer
 	}{
 		{"deep_pipeline", modelgen.DeepPipeline(48, 6, 2), func(*petri.Net) trace.Observer { return nil }},
+		{"fork_join", modelgen.ForkJoin(32, 8, 1), func(*petri.Net) trace.Observer { return nil }},
 		{"cache_processor_stats", cacheNet(t, pipeline.DefaultCacheParams().DHitRatio), func(net *petri.Net) trace.Observer {
 			return stats.New(trace.HeaderOf(net))
 		}},
