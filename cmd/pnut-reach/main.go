@@ -8,7 +8,7 @@
 // -bound-cap, -explore-shards, and the spill-store knobs -store,
 // -spill-budget, -spill-dir, which let an exploration larger than RAM
 // complete by spilling marking blocks to a temp file. Ctrl-C cancels a
-// running build cleanly at the next level barrier.
+// running build cleanly at the next window barrier.
 //
 //	pnut-reach -net mutex.pn -check 'AG({crit_a + crit_b <= 1})' \
 //	           -invariant 'lock=1,crit_a=1,crit_b=1'

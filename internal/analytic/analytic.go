@@ -53,7 +53,7 @@ type Options = reach.Options
 // Evaluate builds the timed reachability graph of net and solves the
 // embedded Markov chain by sparse state reduction (see the package
 // comment). ctx covers both phases: the parallel reach.BuildTimed
-// checks it at every level barrier, the solve every 1024 state
+// checks it at every window barrier, the solve every 1024 state
 // eliminations. The figures are bit-identical across runs, GOMAXPROCS
 // values and opt.Shards.
 func Evaluate(ctx context.Context, net *petri.Net, opt Options) (*Result, error) {

@@ -69,7 +69,7 @@ type analyticWorker struct {
 
 // RunCell implements BackendWorker. ctx threads through to the timed
 // graph construction, so cancelling a sweep interrupts a cell
-// mid-build at the next level barrier.
+// mid-build at the next window barrier.
 func (w *analyticWorker) RunCell(ctx context.Context, in CellInput) (CellOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return CellOutcome{}, err

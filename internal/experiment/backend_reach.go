@@ -101,7 +101,7 @@ type reachWorker struct {
 
 // RunCell implements BackendWorker. ctx threads into reach.Build, so
 // cancelling a sweep interrupts a cell mid-exploration at the next
-// level barrier.
+// window barrier.
 func (w *reachWorker) RunCell(ctx context.Context, in CellInput) (CellOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return CellOutcome{}, err

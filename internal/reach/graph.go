@@ -47,7 +47,7 @@ type Options struct {
 	// definite answer on nets without inhibitor arcs.
 	BoundCap int
 	// Shards is the number of exploration goroutines Build and
-	// BuildTimed fan each frontier level across (0 or less =
+	// BuildTimed fan each frontier window across (0 or less =
 	// GOMAXPROCS), clamped to 256. The graph — node numbering, edge
 	// order, flags — is bit-identical for every value; shards only
 	// change wall-clock time.
@@ -194,7 +194,7 @@ func (g *Graph) Close() error {
 // Construction stops the moment a new state would exceed MaxStates
 // (Truncated is set and the graph holds exactly MaxStates nodes).
 //
-// ctx is checked at every level barrier (and the spill store's I/O
+// ctx is checked at every window barrier (and the spill store's I/O
 // errors surface there too); on cancellation the partial graph is
 // discarded, its store closed, and ctx.Err() returned.
 func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
@@ -208,14 +208,14 @@ func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
 // markingSucc is one untimed successor: the marking reached by firing
 // t, as a row (appendMarking) at bytes [off, end) of shard w's arena.
 // It holds nothing else (16 bytes) so a frontier candidate stays
-// small: every byte added here is paid once per successor of a level.
+// small: every byte added here is paid once per successor of a window.
 type markingSucc struct {
 	w, t     int32
 	off, end uint32
 }
 
 // shardBuf is one shard's reused buffers: the arena its successors of
-// the current level are written into, the candidate transitions of the
+// the current window are written into, the candidate transitions of the
 // state being expanded (a bitset), and holds' copy of a committed row
 // (spill store only).
 type shardBuf struct {
@@ -232,9 +232,13 @@ type placeDelta struct {
 
 // graphSpace is the untimed state space: markings live in the graph's
 // StateStore as rows, candidates in per-shard byte arenas in the same
-// form, and each level's edges in one block of the level's candidate
-// count, since every candidate becomes one edge (levelEdges). commit
-// flags the bound cap and stops at the first truncation.
+// form, and each window's edges in one block of the window's candidate
+// count, since every candidate becomes one edge (windowEdges). The rows
+// of the newest level are also kept in one reused arena, fresh: most
+// dedup hits on committed nodes repeat a state an earlier window of the
+// same level committed, and holds compares those in memory instead of
+// reading them back from a spilling store. commit flags the bound cap
+// and stops at the first truncation.
 type graphSpace struct {
 	g       *Graph
 	opt     Options
@@ -248,14 +252,17 @@ type graphSpace struct {
 	bufs    []shardBuf
 	cur     petri.Marking // commit's decode buffer
 	rootCap string        // the place over BoundCap in node 0 ("" if none)
-	levels  []levelEdges
-	edges   int   // edges committed so far
-	err     error // set by commit when the edges outgrow int32
+	windows []windowEdges
+	first   int    // the first id of the newest level, whose rows fresh holds
+	fresh   []byte // the rows of nodes first, first+1, ... back to back
+	ends    []int  // ends[i]: offset in fresh past node first+i's row
+	edges   int    // edges committed so far
+	err     error  // set by commit when the edges outgrow int32
 }
 
-// levelEdges is one level's edge block: node lo+i's edges are the
+// windowEdges is one window's edge block: node lo+i's edges are the
 // counts[i] edges after those of nodes lo..lo+i-1.
-type levelEdges struct {
+type windowEdges struct {
 	lo     int
 	counts []int32
 	block  []Edge
@@ -263,7 +270,7 @@ type levelEdges struct {
 
 // newGraphSpace validates net, opens the store Options select and
 // commits the initial marking as node 0. The root candidate sits in
-// shard 0's arena until the first level resets it.
+// shard 0's arena until the first window resets it.
 func newGraphSpace(net *petri.Net, opt Options) (*graphSpace, error) {
 	opt.defaults()
 	if net.Interpreted() {
@@ -330,11 +337,12 @@ func newGraphSpace(net *petri.Net, opt Options) (*graphSpace, error) {
 	s.root = markingSucc{end: uint32(len(s.bufs[0].arena))}
 	s.rootCap = s.overCap(m0)
 	store.Add(s.bufs[0].arena)
+	s.fresh, s.ends = slices.Clone(s.bufs[0].arena), []int{len(s.bufs[0].arena)}
 	return s, nil
 }
 
 // finish returns the graph with each node's Out a capped view into its
-// level's edge block, or closes it and returns the first of err, the
+// window's edge block, or closes it and returns the first of err, the
 // edge overflow and the store's sticky error.
 func (s *graphSpace) finish(err error) (*Graph, error) {
 	if err == nil {
@@ -351,7 +359,7 @@ func (s *graphSpace) finish(err error) (*Graph, error) {
 	for i := range nodes {
 		nodes[i].ID = i
 	}
-	for _, l := range s.levels {
+	for _, l := range s.windows {
 		out := l.block
 		for i, n := range l.counts {
 			if n > 0 {
@@ -430,7 +438,7 @@ func (s *graphSpace) expand(w, lo, hi int, succ func(int, markingSucc)) error {
 	})
 	buf.arena = arena
 	if err == nil && uint64(len(arena)) > math.MaxUint32 {
-		err = fmt.Errorf("reach: one level's successors exceed %d encoded bytes in a shard", uint64(math.MaxUint32))
+		err = fmt.Errorf("reach: one window's successors exceed %d encoded bytes in a shard", uint64(math.MaxUint32))
 	}
 	return err
 }
@@ -472,6 +480,13 @@ func (s *graphSpace) appendFired(b []byte, m petri.Marking, t int) []byte {
 func (s *graphSpace) hash(c *markingSucc) uint64 { return hashRow(s.encoded(c)) }
 
 func (s *graphSpace) holds(w int, id int32, c *markingSucc) bool {
+	if i := int(id) - s.first; i >= 0 {
+		start := 0
+		if i > 0 {
+			start = s.ends[i-1]
+		}
+		return bytes.Equal(s.fresh[start:s.ends[i]], s.encoded(c))
+	}
 	return bytes.Equal(s.g.store.Row(int(id), s.bufs[w].row), s.encoded(c))
 }
 
@@ -479,9 +494,15 @@ func (s *graphSpace) same(a, b *markingSucc) bool {
 	return bytes.Equal(s.encoded(a), s.encoded(b))
 }
 
-// level opens the level's edge block, which commit fills in order.
-func (s *graphSpace) level(lo int, counts []int32, total int) {
-	s.levels = append(s.levels, levelEdges{lo: lo, counts: slices.Clone(counts), block: make([]Edge, 0, total)})
+// open opens the window's edge block, which commit fills in order. The
+// first window of a level empties fresh: until then fresh holds the
+// rows of the level being expanded, which the window's dedup has just
+// compared against.
+func (s *graphSpace) open(lo, first int, counts []int32, total int) {
+	if first != s.first {
+		s.first, s.fresh, s.ends = first, s.fresh[:0], s.ends[:0]
+	}
+	s.windows = append(s.windows, windowEdges{lo: lo, counts: slices.Clone(counts), block: make([]Edge, 0, total)})
 }
 
 // commit stores a new state's candidate row verbatim. It decodes the
@@ -504,6 +525,8 @@ func (s *graphSpace) commit(src int, c *markingSucc, id int32) (int32, bool) {
 			return -1, true
 		}
 		id = int32(g.store.Add(row))
+		s.fresh = append(s.fresh, row...)
+		s.ends = append(s.ends, len(s.fresh))
 	} else if id == 0 && g.CapExceeded == "" {
 		g.CapExceeded = s.rootCap
 	}
@@ -512,16 +535,16 @@ func (s *graphSpace) commit(src int, c *markingSucc, id int32) (int32, bool) {
 		return -1, true
 	}
 	s.edges++
-	l := &s.levels[len(s.levels)-1]
+	l := &s.windows[len(s.windows)-1]
 	l.block = append(l.block, Edge{Trans: c.t, To: id})
 	return id, false
 }
 
 // truncate stops the build inside node src's expansion: src keeps the
-// edges committed so far, and the level's later nodes keep none.
+// edges committed so far, and the later nodes keep none.
 func (s *graphSpace) truncate(src int) {
 	s.g.Truncated, s.g.partial = true, src
-	l := &s.levels[len(s.levels)-1]
+	l := &s.windows[len(s.windows)-1]
 	i, kept := src-l.lo, len(l.block)
 	for _, n := range l.counts[:i] {
 		kept -= int(n)

@@ -52,7 +52,7 @@ type StateStore interface {
 	Span(lo, hi int, fn func(id int, m petri.Marking, row []byte) bool)
 	// Err returns the first I/O or decode error the store hit; once
 	// non-nil the store's contents must not be trusted. The builders
-	// check it at every level barrier.
+	// check it at every window barrier.
 	Err() error
 	// Close releases any resources (temp files) the store holds. It is
 	// idempotent; reads after Close are undefined.

@@ -113,7 +113,7 @@ func timedRoot(net *petri.Net) (*TimedNode, error) {
 // construction for any shard count — including after truncation: past
 // MaxStates no state is added, but the drain continues and later
 // levels still attach edges between committed states. ctx is checked
-// at every level barrier.
+// at every window barrier.
 func BuildTimed(ctx context.Context, net *petri.Net, opt Options) (*TimedGraph, error) {
 	sp, err := newTimedSpace(net, opt)
 	if err != nil {
@@ -169,7 +169,7 @@ func (s *timedSpace) holds(_ int, id int32, c *timedSucc) bool {
 
 func (s *timedSpace) same(a, b *timedSucc) bool { return sameState(a.node, b.node) }
 
-func (s *timedSpace) level(int, []int32, int) {}
+func (s *timedSpace) open(int, int, []int32, int) {}
 
 func (s *timedSpace) commit(src int, c *timedSucc, id int32) (int32, bool) {
 	g := s.g

@@ -520,7 +520,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestCancelInterruptsReachBuild: DELETE on a running reach job
 // interrupts the state-space construction mid-build — the job context
 // threads through the engine into reach.Build, which observes it at
-// the next level barrier. The net grows without bound and MaxStates is
+// the next window barrier. The net grows without bound and MaxStates is
 // far beyond what the test could ever explore, so only cancellation
 // can end the job; the spill store's temp file must be gone afterwards.
 func TestCancelInterruptsReachBuild(t *testing.T) {

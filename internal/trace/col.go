@@ -93,9 +93,9 @@ func anyOverlap(bm []byte, keep []bool) bool {
 // ColWriter streams trace records to an io.Writer in the columnar
 // binary format. It implements Observer, so a simulator can drive it
 // directly, and it follows the text Writer's batching contract: records
-// accumulate in column buffers, blocks accumulate in one output buffer,
-// and a downstream write error is sticky with the unwritten bytes
-// retained.
+// accumulate in column buffers, blocks accumulate in one output buffer
+// that is handed downstream once it reaches writerBatchBytes, and a
+// downstream write error is sticky with the unwritten bytes retained.
 type ColWriter struct {
 	w          io.Writer
 	h          Header
@@ -205,7 +205,7 @@ func (cw *ColWriter) Record(rec *Record) error {
 	cw.n++
 	if cw.flushEvery || rec.Kind == Final || cw.n >= colBlockRecords || cw.blockBytes() >= colBlockBytes {
 		cw.cutBlock()
-		if cw.flushEvery || rec.Kind == Final {
+		if cw.flushEvery || rec.Kind == Final || len(cw.out) >= writerBatchBytes {
 			return cw.Flush()
 		}
 	}

@@ -571,3 +571,49 @@ func BenchmarkColReader(b *testing.B) {
 		b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	})
 }
+
+// countingWriter appends every write to buf and counts the calls.
+type countingWriter struct {
+	buf    bytes.Buffer
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.buf.Write(p)
+}
+
+// TestColWriterHandsOnBatches is the regression test for a batched
+// ColWriter that held the whole trace until Final or Flush: once the
+// cut blocks reach writerBatchBytes they go downstream, so bytes arrive
+// before the Final record, and the stream is the same bytes, cut into
+// the same blocks, as a single write at the end would carry.
+func TestColWriterHandsOnBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	h, recs := genTrace(rng, 3*colBlockRecords)
+	var cw countingWriter
+	w := NewColWriter(&cw, h, false)
+	before := 0 // bytes downstream before the Final record
+	for i := range recs {
+		if recs[i].Kind == Final {
+			before = cw.buf.Len()
+		}
+		if err := w.Record(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if before == 0 {
+		t.Fatalf("no byte of a %d-record trace went downstream before the Final record", len(recs))
+	}
+	if enc := encodeCol(t, h, recs, false); !bytes.Equal(cw.buf.Bytes(), enc) {
+		t.Fatalf("batched stream differs from the encoding (%d vs %d bytes)", cw.buf.Len(), len(enc))
+	}
+	// A hand-off cuts no block: the blocks are those the record cap cuts.
+	r := NewColReader(bytes.NewReader(cw.buf.Bytes()))
+	_, got := collectAll(t, r)
+	recordsEqual(t, recs, got)
+	if want := int64((len(recs) + colBlockRecords - 1) / colBlockRecords); r.Stats().Blocks != want {
+		t.Fatalf("%d blocks, want %d", r.Stats().Blocks, want)
+	}
+	t.Logf("%d bytes in %d writes, %d before the Final record", cw.buf.Len(), cw.writes, before)
+}
