@@ -148,3 +148,18 @@ func TestGoldenSweepNetVars(t *testing.T) {
 		"-throughput", "Issue")
 	goldenCompare(t, "pnut-sweep-vars.txt", out)
 }
+
+// TestGoldenTimedReach pins the timed reachability graph at the CLI
+// boundary: pnut-reach's timed summary and CTL verdict on the mutex
+// net, its DOT rendering with time-advance edges, and the timed summary
+// of the paper's pipeline net.
+func TestGoldenTimedReach(t *testing.T) {
+	bins := buildTools(t, "pnut-reach", "pnut-dot")
+	mutex, pipeline := testdataPath(t, "mutex.pn"), testdataPath(t, "pipeline.pn")
+	goldenCompare(t, "pnut-reach-timed-mutex.txt", mustOutput(t, bins["pnut-reach"],
+		"-net", mutex, "-timed", "-check", "AG({crit_a + crit_b <= 1})"))
+	goldenCompare(t, "pnut-dot-timed-mutex.dot", mustOutput(t, bins["pnut-dot"],
+		"-net", mutex, "-reach", "-timed"))
+	goldenCompare(t, "pnut-reach-timed-pipeline.txt", mustOutput(t, bins["pnut-reach"],
+		"-net", pipeline, "-timed"))
+}
