@@ -38,22 +38,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	switch {
-	case !*doReach:
+	if !*doReach {
 		fmt.Print(petri.DOT(net))
-	case *timed:
-		g, err := reach.BuildTimed(context.Background(), net, reach.Options{MaxStates: *maxStates})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(g.DOT())
-	default:
-		g, err := reach.Build(context.Background(), net, reach.Options{MaxStates: *maxStates})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(g.DOT())
+		return
 	}
+	build := reach.Build
+	if *timed {
+		build = reach.BuildTimed
+	}
+	g, err := build(context.Background(), net, reach.Options{MaxStates: *maxStates})
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Print(g.DOT())
 }
 
 func fatal(err error) {

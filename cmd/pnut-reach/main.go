@@ -7,7 +7,8 @@
 // The state-space flags are the shared sweepcli group: -max-states,
 // -bound-cap, -explore-shards, and the spill-store knobs -store,
 // -spill-budget, -spill-dir, which let an exploration larger than RAM
-// complete by spilling marking blocks to a temp file. Ctrl-C cancels a
+// complete by spilling marking blocks to a temp file (untimed graphs
+// only). -check and -invariant apply to either graph. Ctrl-C cancels a
 // running build cleanly at the next window barrier.
 //
 //	pnut-reach -net mutex.pn -check 'AG({crit_a + crit_b <= 1})' \
@@ -82,43 +83,38 @@ func main() {
 		}
 	}
 
-	cleanup := func() {}
-	var sg reach.StateGraph
+	build := reach.Build
 	if *timed {
-		g, err := reach.BuildTimed(ctx, net, opt)
-		if err != nil {
-			fatal(err)
-		}
+		build = reach.BuildTimed
+	}
+	g, err := build(ctx, net, opt)
+	if err != nil {
+		fatal(err)
+	}
+	if opt.StoreName() == reach.StoreSpill {
+		fmt.Fprintf(os.Stderr, "pnut-reach: store spill: %d bytes encoded, %d spilled to disk\n",
+			g.StoreBytes(), g.SpilledBytes())
+	}
+	if *timed {
 		fmt.Printf("timed reachability graph of %q: %d states, %d deadlocks\n",
 			net.Name, len(g.Nodes), len(g.Deadlocks()))
 		if g.Truncated {
 			fmt.Println("  (truncated: results are lower bounds)")
 		}
-		sg = g
 	} else {
-		g, err := reach.Build(ctx, net, opt)
+		fmt.Print(g.Summary())
+	}
+	for _, inv := range invariants {
+		weights, err := parseInvariant(inv)
 		if err != nil {
 			fatal(err)
 		}
-		cleanup = func() { g.Close() }
-		if opt.StoreName() == reach.StoreSpill {
-			fmt.Fprintf(os.Stderr, "pnut-reach: store spill: %d bytes encoded, %d spilled to disk\n",
-				g.StoreBytes(), g.SpilledBytes())
+		v, err := g.CheckInvariant(weights)
+		if err != nil {
+			fmt.Printf("INVARIANT FAILS  %s: %v\n", inv, err)
+			continue
 		}
-		fmt.Print(g.Summary())
-		for _, inv := range invariants {
-			weights, err := parseInvariant(inv)
-			if err != nil {
-				fatal(err)
-			}
-			v, err := g.CheckInvariant(weights)
-			if err != nil {
-				fmt.Printf("INVARIANT FAILS  %s: %v\n", inv, err)
-				continue
-			}
-			fmt.Printf("INVARIANT HOLDS  %s = %d\n", inv, v)
-		}
-		sg = g
+		fmt.Printf("INVARIANT HOLDS  %s = %d\n", inv, v)
 	}
 
 	failed := false
@@ -127,14 +123,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if reach.Holds(sg, f) {
+		if reach.Holds(g, f) {
 			fmt.Printf("HOLDS  %s\n", c)
 		} else {
 			fmt.Printf("FAILS  %s\n", c)
 			failed = true
 		}
 	}
-	cleanup()
+	g.Close()
 	if failed {
 		os.Exit(1)
 	}

@@ -98,23 +98,24 @@ func main() {
 		holdsSomewhere := reach.Holds(tg, reach.EF(broken))
 		// Does a broken state persist across a time advance?
 		persists := false
-		for _, node := range tg.Nodes {
+		tg.EachMarking(func(id int, m petri.Marking) bool {
 			sum := 0
-			if id, ok := net.PlaceID("Bus_busy"); ok {
-				sum += node.Marking[id]
+			if p, ok := net.PlaceID("Bus_busy"); ok {
+				sum += m[p]
 			}
-			if id, ok := net.PlaceID("Bus_free"); ok {
-				sum += node.Marking[id]
+			if p, ok := net.PlaceID("Bus_free"); ok {
+				sum += m[p]
 			}
 			if sum != 0 {
-				continue
+				return true
 			}
-			for _, e := range node.Out {
-				if e.Trans == reach.TimeAdvance && e.Delta > 0 {
+			for _, e := range tg.Nodes[id].Out {
+				if e.Trans == reach.TimeAdvance && tg.Advance(id) > 0 {
 					persists = true
 				}
 			}
-		}
+			return true
+		})
 		fmt.Printf("  reachability: token-less state exists: %v; persists across time: %v\n",
 			holdsSomewhere, persists)
 		if persists {

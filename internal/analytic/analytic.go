@@ -42,7 +42,7 @@ type Result struct {
 	MeanSojourn float64
 
 	net       *petri.Net
-	graph     *reach.TimedGraph
+	graph     *reach.Graph
 	pi        []float64 // embedded-chain stationary distribution
 	timeShare []float64 // time-stationary distribution (π·h normalized)
 }
@@ -70,7 +70,7 @@ func Evaluate(ctx context.Context, net *petri.Net, opt Options) (*Result, error)
 	}
 	if dl := g.Deadlocks(); len(dl) > 0 {
 		return nil, fmt.Errorf("analytic: net deadlocks (e.g. state %d: %s); no steady state",
-			dl[0], g.Nodes[dl[0]].Marking.Format(net))
+			dl[0], g.MarkingOf(dl[0]).Format(net))
 	}
 	rows, sojourn, err := embeddedChain(net, g)
 	if err != nil {
@@ -107,9 +107,10 @@ func (r *Result) Utilization(place string) (float64, error) {
 		return 0, fmt.Errorf("analytic: unknown place %q", place)
 	}
 	u := 0.0
-	for i, share := range r.timeShare {
-		u += share * float64(r.graph.Nodes[i].Marking[id])
-	}
+	r.graph.EachMarking(func(i int, m petri.Marking) bool {
+		u += r.timeShare[i] * float64(m[id])
+		return true
+	})
 	return u, nil
 }
 
@@ -135,7 +136,7 @@ func (r *Result) Throughput(transition string) (float64, error) {
 			total += r.net.Trans[e.Trans].EffFreq()
 		}
 		for _, e := range node.Out {
-			if e.Trans == id {
+			if petri.TransID(e.Trans) == id {
 				starts += r.pi[i] * r.net.Trans[e.Trans].EffFreq() / total
 			}
 		}
@@ -151,10 +152,11 @@ func (r *Result) ProbMarked(place string, min int) (float64, error) {
 		return 0, fmt.Errorf("analytic: unknown place %q", place)
 	}
 	p := 0.0
-	for i, share := range r.timeShare {
-		if r.graph.Nodes[i].Marking[id] >= min {
-			p += share
+	r.graph.EachMarking(func(i int, m petri.Marking) bool {
+		if m[id] >= min {
+			p += r.timeShare[i]
 		}
-	}
+		return true
+	})
 	return p, nil
 }

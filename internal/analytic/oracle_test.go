@@ -36,7 +36,7 @@ func evaluatePower(ctx context.Context, net *petri.Net, opt Options) (*Result, e
 	}
 	if dl := g.Deadlocks(); len(dl) > 0 {
 		return nil, fmt.Errorf("analytic: net deadlocks (e.g. state %d: %s); no steady state",
-			dl[0], g.Nodes[dl[0]].Marking.Format(net))
+			dl[0], g.MarkingOf(dl[0]).Format(net))
 	}
 	n := len(g.Nodes)
 	// Transition probabilities and sojourn times.
@@ -48,8 +48,8 @@ func evaluatePower(ctx context.Context, net *petri.Net, opt Options) (*Result, e
 	sojourn := make([]float64, n)
 	for i, node := range g.Nodes {
 		if len(node.Out) == 1 && node.Out[0].Trans == reach.TimeAdvance {
-			sojourn[i] = float64(node.Out[0].Delta)
-			edges[i] = []edge{{to: node.Out[0].To, p: 1}}
+			sojourn[i] = float64(g.Advance(i))
+			edges[i] = []edge{{to: int(node.Out[0].To), p: 1}}
 			continue
 		}
 		// Conflict state: the simulator picks among ripe transitions
@@ -63,7 +63,7 @@ func evaluatePower(ctx context.Context, net *petri.Net, opt Options) (*Result, e
 			return nil, fmt.Errorf("analytic: state %d has no weighted successors", i)
 		}
 		for _, e := range node.Out {
-			edges[i] = append(edges[i], edge{to: e.To, p: net.Trans[e.Trans].EffFreq() / total})
+			edges[i] = append(edges[i], edge{to: int(e.To), p: net.Trans[e.Trans].EffFreq() / total})
 		}
 	}
 	// Stationary distribution of the embedded chain by power iteration

@@ -24,7 +24,7 @@ type entry struct {
 // state. At a conflict state the simulator picks among the ripe
 // transitions with probability proportional to frequency; the timed
 // graph has one start edge per ripe transition.
-func embeddedChain(net *petri.Net, g *reach.TimedGraph) ([][]entry, []float64, error) {
+func embeddedChain(net *petri.Net, g *reach.Graph) ([][]entry, []float64, error) {
 	n := len(g.Nodes)
 	edges := 0
 	for _, node := range g.Nodes {
@@ -36,8 +36,8 @@ func embeddedChain(net *petri.Net, g *reach.TimedGraph) ([][]entry, []float64, e
 	for i, node := range g.Nodes {
 		start := len(flat)
 		if len(node.Out) == 1 && node.Out[0].Trans == reach.TimeAdvance {
-			sojourn[i] = float64(node.Out[0].Delta)
-			flat = append(flat, entry{to: int32(node.Out[0].To), p: 1})
+			sojourn[i] = float64(g.Advance(i))
+			flat = append(flat, entry{to: node.Out[0].To, p: 1})
 		} else {
 			total := 0.0
 			for _, e := range node.Out {
@@ -47,7 +47,7 @@ func embeddedChain(net *petri.Net, g *reach.TimedGraph) ([][]entry, []float64, e
 				return nil, nil, fmt.Errorf("analytic: state %d has no weighted successors", i)
 			}
 			for _, e := range node.Out {
-				flat = append(flat, entry{to: int32(e.To), p: net.Trans[e.Trans].EffFreq() / total})
+				flat = append(flat, entry{to: e.To, p: net.Trans[e.Trans].EffFreq() / total})
 			}
 			flat = flat[:start+len(mergeTargets(flat[start:]))]
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -73,6 +74,28 @@ func TestParseAxisRange(t *testing.T) {
 				t.Errorf("ParseAxis(%q)[%d] = %v, want %v", c.in, i, ax.Values[i], c.want[i])
 			}
 		}
+	}
+}
+
+// TestParseAxisCapsWholeAxis: the value cap counts the whole axis, not
+// each range, and is checked before a range is expanded. A 97-byte axis
+// of eight 10^6-value ranges used to expand all of them (336 MB) and
+// pass; it must now fail at the second range, having allocated only the
+// first.
+func TestParseAxisCapsWholeAxis(t *testing.T) {
+	spec := "DHitRatio=" + strings.Repeat("0:999999:1,", 7) + "0:999999:1"
+	if len(spec) != 97 {
+		t.Fatalf("axis is %d bytes, want 97", len(spec))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParseAxis(spec)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "over") {
+		t.Fatalf("ParseAxis accepted an axis of 8e6 values (err %v)", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32<<20 {
+		t.Errorf("ParseAxis allocated %d MB before rejecting the axis", alloc>>20)
 	}
 }
 

@@ -276,6 +276,18 @@ func (o *SweepOptions) Validate() error {
 			return fmt.Errorf("experiment: axis %q has no values", ax.Name)
 		}
 	}
+	// NumPoints and NumCells multiply unchecked: a product that wraps
+	// would admit a huge grid as a small or empty one.
+	points := 1
+	for _, ax := range o.Axes {
+		if points > math.MaxInt/len(ax.Values) {
+			return fmt.Errorf("experiment: the grid's point count overflows int")
+		}
+		points *= len(ax.Values)
+	}
+	if points > math.MaxInt/o.RepStride() {
+		return fmt.Errorf("experiment: the grid's %d points times %d replications overflow int", points, o.RepStride())
+	}
 	return nil
 }
 
@@ -356,7 +368,7 @@ func ParseAxis(s string) (Axis, error) {
 			return Axis{}, fmt.Errorf("experiment: axis %q has an empty value (trailing or doubled comma?)", name)
 		}
 		if strings.Contains(part, ":") {
-			vals, err := expandRange(name, part)
+			vals, err := expandRange(name, part, maxAxisValues-len(ax.Values))
 			if err != nil {
 				return Axis{}, err
 			}
@@ -372,12 +384,14 @@ func ParseAxis(s string) (Axis, error) {
 	return ax, nil
 }
 
-// maxRangeValues caps a single lo:hi:step expansion; a grid bigger than
-// this is almost certainly a typo'd step.
-const maxRangeValues = 1_000_000
+// maxAxisValues caps the values an axis's lo:hi:step ranges expand to,
+// counted over the whole axis so that a short spec cannot allocate
+// more: an axis bigger than this is almost certainly a typo'd step.
+const maxAxisValues = 1_000_000
 
-// expandRange expands one inclusive lo:hi:step element of an axis spec.
-func expandRange(name, part string) ([]float64, error) {
+// expandRange expands one inclusive lo:hi:step element of an axis spec
+// into fewer than room values.
+func expandRange(name, part string, room int) ([]float64, error) {
 	fields := strings.Split(part, ":")
 	if len(fields) != 3 {
 		return nil, fmt.Errorf("experiment: axis %q: range %q is not lo:hi:step", name, part)
@@ -400,8 +414,8 @@ func expandRange(name, part string) ([]float64, error) {
 	// values even though 10*0.1 overshoots 1 in binary. Compare as
 	// float before converting so a huge count cannot overflow int.
 	count := (hi-lo)/step + 1e-9
-	if !(count < maxRangeValues) {
-		return nil, fmt.Errorf("experiment: axis %q: range %q expands to over %d values", name, part, maxRangeValues)
+	if !(count < float64(room)) {
+		return nil, fmt.Errorf("experiment: axis %q: range %q expands the axis to over %d values", name, part, maxAxisValues)
 	}
 	n := int(count)
 	vals := make([]float64, 0, n+1)

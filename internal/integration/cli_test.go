@@ -144,6 +144,29 @@ func TestCLIReachAndAnalytic(t *testing.T) {
 	}
 }
 
+// TestCLIReachTimedFlags: -invariant checks the timed graph as it does
+// the untimed one, and the spill store, whose blocks cannot frame timed
+// rows, is refused with an error naming it instead of being ignored.
+func TestCLIReachTimedFlags(t *testing.T) {
+	bins := buildTools(t, "pnut-reach")
+	mutex := testdataPath(t, "mutex.pn")
+	out := string(mustOutput(t, bins["pnut-reach"], "-net", mutex, "-timed",
+		"-invariant", "lock=1,crit_a=1,crit_b=1", "-invariant", "lock=1"))
+	for _, want := range []string{"INVARIANT HOLDS  lock=1,crit_a=1,crit_b=1 = 1\n", "INVARIANT FAILS  lock=1: "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("pnut-reach -timed -invariant: output lacks %q:\n%s", want, out)
+		}
+	}
+	for _, store := range [][]string{{"-store", "spill"}, {"-spill-budget", "4096"}} {
+		cmd := exec.Command(bins["pnut-reach"], append([]string{"-net", mutex, "-timed"}, store...)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err == nil || !strings.Contains(stderr.String(), `"spill"`) {
+			t.Errorf("pnut-reach -timed %v: err %v, stderr %q; want a failure naming the spill store", store, err, stderr.String())
+		}
+	}
+}
+
 // TestCLIAnimator renders a short animation from a stored trace file.
 func TestCLIAnimator(t *testing.T) {
 	bins := buildTools(t, "pnut-sim", "pnut-anim")

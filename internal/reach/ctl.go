@@ -8,73 +8,6 @@ import (
 	"repro/internal/petri"
 )
 
-// StateGraph is the adjacency view the CTL checker needs; both Graph
-// (untimed) and TimedGraph (timed) implement it.
-type StateGraph interface {
-	NumNodes() int
-	Succ(id int) []int
-	// Deadlocked reports whether node id is a deadlock. A node that
-	// truncation left without successors is not one.
-	Deadlocked(id int) bool
-	MarkingAt(id int) petri.Marking
-	PlaceByName(name string) (petri.PlaceID, bool)
-}
-
-// markingRanger is the optional bulk face of StateGraph: a sequential
-// whole-graph marking scan with a reused buffer. Atom evaluation
-// prefers it over per-node MarkingAt, which for the compact-store
-// Graph would decode (and allocate) one marking per call.
-type markingRanger interface {
-	EachMarking(fn func(id int, m petri.Marking) bool)
-}
-
-// NumNodes implements StateGraph.
-func (g *Graph) NumNodes() int { return len(g.Nodes) }
-
-// Succ implements StateGraph.
-func (g *Graph) Succ(id int) []int {
-	out := make([]int, len(g.Nodes[id].Out))
-	for i, e := range g.Nodes[id].Out {
-		out[i] = int(e.To)
-	}
-	return out
-}
-
-// MarkingAt implements StateGraph by decoding from the compact store;
-// it allocates per call, so bulk scans go through EachMarking.
-func (g *Graph) MarkingAt(id int) petri.Marking { return g.MarkingOf(id) }
-
-// PlaceByName implements StateGraph.
-func (g *Graph) PlaceByName(name string) (petri.PlaceID, bool) { return g.Net.PlaceID(name) }
-
-// NumNodes implements StateGraph.
-func (g *TimedGraph) NumNodes() int { return len(g.Nodes) }
-
-// Succ implements StateGraph.
-func (g *TimedGraph) Succ(id int) []int {
-	out := make([]int, len(g.Nodes[id].Out))
-	for i, e := range g.Nodes[id].Out {
-		out[i] = e.To
-	}
-	return out
-}
-
-// MarkingAt implements StateGraph.
-func (g *TimedGraph) MarkingAt(id int) petri.Marking { return g.Nodes[id].Marking }
-
-// PlaceByName implements StateGraph.
-func (g *TimedGraph) PlaceByName(name string) (petri.PlaceID, bool) { return g.Net.PlaceID(name) }
-
-// EachMarking implements markingRanger over the timed graph's boxed
-// nodes, so the CTL atom scan takes the same bulk path on both graphs.
-func (g *TimedGraph) EachMarking(fn func(id int, m petri.Marking) bool) {
-	for i := range g.Nodes {
-		if !fn(i, g.Nodes[i].Marking) {
-			return
-		}
-	}
-}
-
 // Formula is a branching-time temporal-logic formula in the style of
 // the [MR87] analyzer. Atoms are integer expressions over place names
 // (nonzero = true) or the special proposition deadlock. Path operators:
@@ -90,26 +23,16 @@ func (g *TimedGraph) EachMarking(fn func(id int, m petri.Marking) bool) {
 type Formula interface {
 	// String renders the formula in the surface syntax.
 	String() string
-	check(g StateGraph, c *checker) []bool
-}
-
-type checker struct {
-	succ [][]int
+	check(g *Graph) []bool
 }
 
 // Check evaluates f on every node of g and returns the satisfaction
 // vector (indexed by node ID).
-func Check(g StateGraph, f Formula) []bool {
-	c := &checker{succ: make([][]int, g.NumNodes())}
-	for i := 0; i < g.NumNodes(); i++ {
-		c.succ[i] = g.Succ(i)
-	}
-	return f.check(g, c)
-}
+func Check(g *Graph, f Formula) []bool { return f.check(g) }
 
 // Holds evaluates f at the initial state (node 0).
-func Holds(g StateGraph, f Formula) bool {
-	if g.NumNodes() == 0 {
+func Holds(g *Graph, f Formula) bool {
+	if len(g.Nodes) == 0 {
 		return true
 	}
 	return Check(g, f)[0]
@@ -144,39 +67,26 @@ func MustAtom(src string) Formula {
 
 func (a *atomExpr) String() string { return "{" + a.src + "}" }
 
-func (a *atomExpr) check(g StateGraph, c *checker) []bool {
-	out := make([]bool, g.NumNodes())
+func (a *atomExpr) check(g *Graph) []bool {
+	out := make([]bool, len(g.Nodes))
 	env := expr.NewEnv(nil)
 	var cur petri.Marking
 	env.External = func(name string) (int64, bool) {
-		id, ok := g.PlaceByName(name)
+		id, ok := g.Net.PlaceID(name)
 		if !ok {
 			return 0, false
 		}
 		return int64(cur[id]), true
 	}
-	evalAt := func(i int, m petri.Marking) {
+	g.EachMarking(func(i int, m petri.Marking) bool {
 		cur = m
 		v, err := a.e.Eval(env)
-		if err != nil {
-			// Unknown names or arithmetic faults make the atom false
-			// everywhere rather than panicking mid-fixpoint; Validate
-			// formulas with Atom() for eager errors.
-			out[i] = false
-			return
-		}
-		out[i] = v != 0
-	}
-	if mr, ok := g.(markingRanger); ok {
-		mr.EachMarking(func(i int, m petri.Marking) bool {
-			evalAt(i, m)
-			return true
-		})
-		return out
-	}
-	for i := range out {
-		evalAt(i, g.MarkingAt(i))
-	}
+		// Unknown names or arithmetic faults make the atom false
+		// everywhere rather than panicking mid-fixpoint; Validate
+		// formulas with Atom() for eager errors.
+		out[i] = err == nil && v != 0
+		return true
+	})
 	return out
 }
 
@@ -187,8 +97,8 @@ func Deadlock() Formula { return deadlockAtom{} }
 
 func (deadlockAtom) String() string { return "deadlock" }
 
-func (deadlockAtom) check(g StateGraph, c *checker) []bool {
-	out := make([]bool, g.NumNodes())
+func (deadlockAtom) check(g *Graph) []bool {
+	out := make([]bool, len(g.Nodes))
 	for i := range out {
 		out[i] = g.Deadlocked(i)
 	}
@@ -214,8 +124,8 @@ func (f notF) String() string { return "!" + f.x.String() }
 func (f andF) String() string { return "(" + f.l.String() + " && " + f.r.String() + ")" }
 func (f orF) String() string  { return "(" + f.l.String() + " || " + f.r.String() + ")" }
 
-func (f notF) check(g StateGraph, c *checker) []bool {
-	v := f.x.check(g, c)
+func (f notF) check(g *Graph) []bool {
+	v := f.x.check(g)
 	out := make([]bool, len(v))
 	for i := range v {
 		out[i] = !v[i]
@@ -223,8 +133,8 @@ func (f notF) check(g StateGraph, c *checker) []bool {
 	return out
 }
 
-func (f andF) check(g StateGraph, c *checker) []bool {
-	l, r := f.l.check(g, c), f.r.check(g, c)
+func (f andF) check(g *Graph) []bool {
+	l, r := f.l.check(g), f.r.check(g)
 	out := make([]bool, len(l))
 	for i := range l {
 		out[i] = l[i] && r[i]
@@ -232,8 +142,8 @@ func (f andF) check(g StateGraph, c *checker) []bool {
 	return out
 }
 
-func (f orF) check(g StateGraph, c *checker) []bool {
-	l, r := f.l.check(g, c), f.r.check(g, c)
+func (f orF) check(g *Graph) []bool {
+	l, r := f.l.check(g), f.r.check(g)
 	out := make([]bool, len(l))
 	for i := range l {
 		out[i] = l[i] || r[i]
@@ -285,12 +195,12 @@ func (f agF) String() string { return "AG(" + f.x.String() + ")" }
 func (f euF) String() string { return "EU(" + f.l.String() + ", " + f.r.String() + ")" }
 func (f auF) String() string { return "AU(" + f.l.String() + ", " + f.r.String() + ")" }
 
-func (f exF) check(g StateGraph, c *checker) []bool {
-	x := f.x.check(g, c)
+func (f exF) check(g *Graph) []bool {
+	x := f.x.check(g)
 	out := make([]bool, len(x))
 	for i := range out {
-		for _, s := range c.succ[i] {
-			if x[s] {
+		for _, e := range g.Nodes[i].Out {
+			if x[e.To] {
 				out[i] = true
 				break
 			}
@@ -299,13 +209,13 @@ func (f exF) check(g StateGraph, c *checker) []bool {
 	return out
 }
 
-func (f axF) check(g StateGraph, c *checker) []bool {
-	x := f.x.check(g, c)
+func (f axF) check(g *Graph) []bool {
+	x := f.x.check(g)
 	out := make([]bool, len(x))
 	for i := range out {
 		out[i] = true
-		for _, s := range c.succ[i] {
-			if !x[s] {
+		for _, e := range g.Nodes[i].Out {
+			if !x[e.To] {
 				out[i] = false
 				break
 			}
@@ -322,16 +232,16 @@ func lfp(init []bool, step func(cur []bool) bool) []bool {
 	return cur
 }
 
-func (f efF) check(g StateGraph, c *checker) []bool {
-	cur := f.x.check(g, c)
+func (f efF) check(g *Graph) []bool {
+	cur := f.x.check(g)
 	return lfp(cur, func(cur []bool) bool {
 		changed := false
 		for i := range cur {
 			if cur[i] {
 				continue
 			}
-			for _, s := range c.succ[i] {
-				if cur[s] {
+			for _, e := range g.Nodes[i].Out {
+				if cur[e.To] {
 					cur[i] = true
 					changed = true
 					break
@@ -342,17 +252,17 @@ func (f efF) check(g StateGraph, c *checker) []bool {
 	})
 }
 
-func (f afF) check(g StateGraph, c *checker) []bool {
-	cur := f.x.check(g, c)
+func (f afF) check(g *Graph) []bool {
+	cur := f.x.check(g)
 	return lfp(cur, func(cur []bool) bool {
 		changed := false
 		for i := range cur {
-			if cur[i] || len(c.succ[i]) == 0 {
+			if cur[i] || len(g.Nodes[i].Out) == 0 {
 				continue
 			}
 			all := true
-			for _, s := range c.succ[i] {
-				if !cur[s] {
+			for _, e := range g.Nodes[i].Out {
+				if !cur[e.To] {
 					all = false
 					break
 				}
@@ -366,20 +276,20 @@ func (f afF) check(g StateGraph, c *checker) []bool {
 	})
 }
 
-func (f egF) check(g StateGraph, c *checker) []bool {
+func (f egF) check(g *Graph) []bool {
 	// Greatest fixed point: start from x, remove states with no
 	// satisfying continuation (deadlocks keep x: their maximal path ends
 	// there).
-	cur := f.x.check(g, c)
+	cur := f.x.check(g)
 	for {
 		changed := false
 		for i := range cur {
-			if !cur[i] || len(c.succ[i]) == 0 {
+			if !cur[i] || len(g.Nodes[i].Out) == 0 {
 				continue
 			}
 			any := false
-			for _, s := range c.succ[i] {
-				if cur[s] {
+			for _, e := range g.Nodes[i].Out {
+				if cur[e.To] {
 					any = true
 					break
 				}
@@ -395,22 +305,22 @@ func (f egF) check(g StateGraph, c *checker) []bool {
 	}
 }
 
-func (f agF) check(g StateGraph, c *checker) []bool {
+func (f agF) check(g *Graph) []bool {
 	// AG x == !EF !x
-	return notF{efF{notF{f.x}}}.check(g, c)
+	return notF{efF{notF{f.x}}}.check(g)
 }
 
-func (f euF) check(g StateGraph, c *checker) []bool {
-	l := f.l.check(g, c)
-	cur := f.r.check(g, c)
+func (f euF) check(g *Graph) []bool {
+	l := f.l.check(g)
+	cur := f.r.check(g)
 	return lfp(cur, func(cur []bool) bool {
 		changed := false
 		for i := range cur {
 			if cur[i] || !l[i] {
 				continue
 			}
-			for _, s := range c.succ[i] {
-				if cur[s] {
+			for _, e := range g.Nodes[i].Out {
+				if cur[e.To] {
 					cur[i] = true
 					changed = true
 					break
@@ -421,18 +331,18 @@ func (f euF) check(g StateGraph, c *checker) []bool {
 	})
 }
 
-func (f auF) check(g StateGraph, c *checker) []bool {
-	l := f.l.check(g, c)
-	cur := f.r.check(g, c)
+func (f auF) check(g *Graph) []bool {
+	l := f.l.check(g)
+	cur := f.r.check(g)
 	return lfp(cur, func(cur []bool) bool {
 		changed := false
 		for i := range cur {
-			if cur[i] || !l[i] || len(c.succ[i]) == 0 {
+			if cur[i] || !l[i] || len(g.Nodes[i].Out) == 0 {
 				continue
 			}
 			all := true
-			for _, s := range c.succ[i] {
-				if !cur[s] {
+			for _, e := range g.Nodes[i].Out {
+				if !cur[e.To] {
 					all = false
 					break
 				}

@@ -31,7 +31,9 @@ func (d *fuzzBytes) next() int {
 // Each transition's input and output places come from a bit mask whose
 // two high bits give the first arc's weight (1 to 4); an empty input
 // mask makes a source transition, and a third byte may add an
-// inhibitor arc. MaxStates stays small, so unbounded nets truncate.
+// inhibitor arc. After the transitions come one firing and one enabling
+// byte per transition, each a constant delay of 0 to 3 for the timed
+// build. MaxStates stays small, so unbounded nets truncate.
 func fuzzReachNet(data []byte) (*petri.Net, Options) {
 	d := fuzzBytes(data)
 	np := 1 + d.next()%6
@@ -47,9 +49,11 @@ func fuzzReachNet(data []byte) (*petri.Net, Options) {
 		}
 	}
 	place := func(i int) string { return fmt.Sprintf("p%d", i%np) }
-	for i := 0; i < nt; i++ {
+	tbs := make([]*petri.TransBuilder, nt)
+	for i := range tbs {
 		in, out, inhib := d.next(), d.next(), d.next()
 		tb := b.Trans(fmt.Sprintf("t%d", i))
+		tbs[i] = tb
 		arcs := func(mask int, add func(string, ...int) *petri.TransBuilder) {
 			w := 1 + mask>>6
 			for p := 0; p < np; p++ {
@@ -65,12 +69,16 @@ func fuzzReachNet(data []byte) (*petri.Net, Options) {
 			tb.Inhib(place(inhib), 1+inhib>>4&7)
 		}
 	}
+	for _, tb := range tbs {
+		tb.FiringConst(petri.Time(d.next() % 4)).EnablingConst(petri.Time(d.next() % 4))
+	}
 	return b.MustBuild(), opt
 }
 
 // FuzzBuild extends the oracle property tests to arbitrary small plain
 // nets: Build at shards 1 and 3, with the in-memory and the spill
-// store, must reproduce the frozen serial oracle bit for bit.
+// store, must reproduce the frozen serial oracle bit for bit, and
+// BuildTimed at shards 1 and 3 the timed oracle, node for node.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 3, 40, 1, 0, 0x01, 0x02, 0, 0x02, 0x01, 0x85, 0x00, 0x41, 0x90})
@@ -99,6 +107,19 @@ func FuzzBuild(f *testing.F) {
 			}
 		}
 		want.Close()
+		twant, err := BuildTimedSerial(ctx, net, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 3} {
+			o := opt
+			o.Shards = shards
+			got, err := BuildTimed(ctx, net, o)
+			if err != nil {
+				t.Fatalf("timed shards=%d: %v", shards, err)
+			}
+			timedGraphsIdentical(t, twant, got)
+		}
 	})
 }
 

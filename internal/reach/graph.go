@@ -13,9 +13,11 @@
 // parallel BFS (explore, frontier.go) with a canonical numbering
 // contract: node ids, edge order, states and truncation flags are
 // bit-identical to a serial FIFO build for every shard count. The
-// serial builds are test oracles (oracle_test.go). Untimed markings
-// live in a StateStore as rows of one uvarint per place (see store.go);
-// the build writes, hashes, compares and stores that one encoding.
+// serial builds are test oracles (oracle_test.go). Both return a Graph
+// whose states live in a StateStore as rows: a marking is one uvarint
+// per place (see store.go), and a timed state is its marking's row with
+// its timers appended (see timed.go). The build writes, hashes,
+// compares and stores that one encoding.
 package reach
 
 import (
@@ -57,6 +59,7 @@ type Options struct {
 	// SpillBudget bytes). Empty resolves to StoreSpill when SpillBudget
 	// or SpillDir is set, else StoreMem. Graphs are bit-identical
 	// across stores; the store only changes where the bytes live.
+	// BuildTimed takes only StoreMem.
 	Store string
 	// SpillBudget is the spill store's in-memory byte allowance for
 	// sealed marking blocks (0 with the spill store = spill every
@@ -118,31 +121,38 @@ type Edge struct {
 	Trans, To int32
 }
 
-// Node is one reachable marking: its id and outgoing edges. The
-// marking itself lives in the graph's compact store — see MarkingOf
-// and EachMarking.
+// Node is one reachable state: its id and outgoing edges. The state
+// itself lives in the graph's compact store — see MarkingOf,
+// EachMarking and Advance.
 type Node struct {
 	ID  int
 	Out []Edge
 }
 
-// Graph is a reachability graph. Node 0 is the initial marking. Close
-// the graph when done: the spill store holds a temp file.
+// Graph is a reachability graph, untimed (Build) or timed (BuildTimed).
+// Node 0 is the initial state. In a timed graph an edge either starts
+// its transition or, labelled TimeAdvance, advances the clock by
+// Advance of its source. Close the graph when done: the spill store
+// holds a temp file.
 type Graph struct {
 	Net   *petri.Net
 	Nodes []Node
 	store StateStore
-	// Truncated is true if MaxStates was hit; construction stops at
-	// that point, so analyses are lower bounds only.
+	// Truncated is true if MaxStates was hit, so analyses are lower
+	// bounds only. Build stops at that point; BuildTimed drops every
+	// later new state but keeps attaching edges between committed ones.
 	Truncated bool
 	// CapExceeded names a place whose token count exceeded BoundCap
 	// (empty if none): a strong hint of unboundedness.
 	CapExceeded string
 	// Stats counts the work of the build that made the graph.
 	Stats BuildStats
-	// partial is, when Truncated, the node whose expansion the cap
-	// interrupted; it and every later node are not fully expanded.
-	partial int
+	// timed is set on graphs BuildTimed made.
+	timed bool
+	// cut is, when Truncated, the bitset of the nodes the cap left not
+	// fully expanded: in Build, the node it stopped in and every later
+	// one; in BuildTimed, each node that lost a successor.
+	cut []uint64
 }
 
 // MarkingOf decodes and returns the marking of one node. Each call
@@ -202,14 +212,15 @@ func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sp.finish(explore[markingSucc](ctx, sp, sp.root, sp.shards, &sp.g.Stats))
+	return sp.finish(explore[rowSucc](ctx, sp, sp.root, sp.shards, &sp.g.Stats))
 }
 
-// markingSucc is one untimed successor: the marking reached by firing
-// t, as a row (appendMarking) at bytes [off, end) of shard w's arena.
-// It holds nothing else (16 bytes) so a frontier candidate stays
-// small: every byte added here is paid once per successor of a window.
-type markingSucc struct {
+// rowSucc is one successor: the state reached by the edge labelled t
+// (a transition, or TimeAdvance), as a row at bytes [off, end) of shard
+// w's arena. It holds nothing else (16 bytes) so a frontier candidate
+// stays small: every byte added here is paid once per successor of a
+// window.
+type rowSucc struct {
 	w, t     int32
 	off, end uint32
 }
@@ -230,15 +241,16 @@ type placeDelta struct {
 	place, d int
 }
 
-// graphSpace is the untimed state space: markings live in the graph's
-// StateStore as rows, candidates in per-shard byte arenas in the same
-// form, and each window's edges in one block of the window's candidate
-// count, since every candidate becomes one edge (windowEdges). The rows
-// of the newest level are also kept in one reused arena, fresh: most
-// dedup hits on committed nodes repeat a state an earlier window of the
-// same level committed, and holds compares those in memory instead of
-// reading them back from a spilling store. commit flags the bound cap
-// and stops at the first truncation.
+// graphSpace is the untimed state space, and timedSpace's with another
+// expand: states live in the graph's StateStore as rows, candidates in
+// per-shard byte arenas in the same form, and each window's edges in
+// one block of the window's candidate count, since every candidate
+// becomes at most one edge (windowEdges). The rows of the newest level
+// are also kept in one reused arena, fresh: most dedup hits on
+// committed nodes repeat a state an earlier window of the same level
+// committed, and holds compares those in memory instead of reading
+// them back from a spilling store. commit flags the bound cap and
+// truncates at MaxStates.
 type graphSpace struct {
 	g       *Graph
 	opt     Options
@@ -248,7 +260,7 @@ type graphSpace struct {
 	deltaAt []int32      // ... at deltas[deltaAt[t]:deltaAt[t+1]]
 	sources []uint64     // the transitions without input arcs, as a bitset
 	masks   []uint64     // per place: the bitset of Affected, len(sources) words
-	root    markingSucc
+	root    rowSucc
 	bufs    []shardBuf
 	cur     petri.Marking // commit's decode buffer
 	rootCap string        // the place over BoundCap in node 0 ("" if none)
@@ -269,13 +281,24 @@ type windowEdges struct {
 }
 
 // newGraphSpace validates net, opens the store Options select and
-// commits the initial marking as node 0. The root candidate sits in
-// shard 0's arena until the first window resets it.
+// commits the initial marking as node 0.
 func newGraphSpace(net *petri.Net, opt Options) (*graphSpace, error) {
-	opt.defaults()
 	if net.Interpreted() {
 		return nil, fmt.Errorf("reach: net %q is interpreted (predicates/actions); reachability requires a plain net", net.Name)
 	}
+	s, err := newSpace(net, opt)
+	if err != nil {
+		return nil, err
+	}
+	m0 := net.InitialMarking()
+	s.start(appendMarking(nil, m0), m0)
+	return s, nil
+}
+
+// newSpace opens the store Options select and sets up the tables and
+// shard buffers of a space over net, with no node committed.
+func newSpace(net *petri.Net, opt Options) (*graphSpace, error) {
+	opt.defaults()
 	places := net.NumPlaces()
 	store, err := newStateStore(opt, places)
 	if err != nil {
@@ -332,13 +355,18 @@ func newGraphSpace(net *petri.Net, opt Options) (*graphSpace, error) {
 			s.bufs[w].row = rows[w*n : w*n : (w+1)*n]
 		}
 	}
-	m0 := net.InitialMarking()
-	s.bufs[0].arena = appendMarking(nil, m0)
-	s.root = markingSucc{end: uint32(len(s.bufs[0].arena))}
-	s.rootCap = s.overCap(m0)
-	store.Add(s.bufs[0].arena)
-	s.fresh, s.ends = slices.Clone(s.bufs[0].arena), []int{len(s.bufs[0].arena)}
 	return s, nil
+}
+
+// start commits root, the row of the initial state with marking m0, as
+// node 0. The root candidate sits in shard 0's arena until the first
+// window resets it.
+func (s *graphSpace) start(root []byte, m0 petri.Marking) {
+	s.bufs[0].arena = root
+	s.root = rowSucc{end: uint32(len(root))}
+	s.rootCap = s.overCap(m0)
+	s.g.store.Add(root)
+	s.fresh, s.ends = slices.Clone(root), []int{len(root)}
 }
 
 // finish returns the graph with each node's Out a capped view into its
@@ -382,19 +410,32 @@ func (s *graphSpace) overCap(m petri.Marking) string {
 }
 
 // encoded returns the arena bytes of candidate c.
-func (s *graphSpace) encoded(c *markingSucc) []byte {
+func (s *graphSpace) encoded(c *rowSucc) []byte {
 	return s.bufs[c.w].arena[c.off:c.end]
 }
 
-// expand writes each successor's row into shard w's arena. Arc
-// weights are at least 1, so a transition with an input arc is enabled
-// only if one of its input places is marked: the candidates of a state
-// are the transitions its marked places feed plus those without input
-// arcs, tried in ascending id as a full scan would. When the parent row
-// is stride-width (one byte per place) and every changed count stays
-// below 128, the successor row is the parent row with only the changed
-// bytes rewritten; otherwise every count is encoded.
-func (s *graphSpace) expand(w, lo, hi int, succ func(int, markingSucc)) error {
+// candidates sets cand to the transitions that may be enabled at m.
+// Arc weights are at least 1, so a transition with an input arc is
+// enabled only if one of its input places is marked: the candidates are
+// the transitions m's marked places feed plus those without input arcs.
+// Trying them in ascending id finds what a full scan would.
+func (s *graphSpace) candidates(cand []uint64, m petri.Marking) {
+	copy(cand, s.sources)
+	for p, c := range m {
+		if c > 0 {
+			for i, mw := range s.masks[p*len(cand) : (p+1)*len(cand)] {
+				cand[i] |= mw
+			}
+		}
+	}
+}
+
+// expand writes each successor's row into shard w's arena, trying the
+// candidate transitions of each state. When the parent row is
+// stride-width (one byte per place) and every changed count stays below
+// 128, the successor row is the parent row with only the changed bytes
+// rewritten; otherwise every count is encoded.
+func (s *graphSpace) expand(w, lo, hi int, succ func(int, rowSucc)) error {
 	if err := s.g.store.Err(); err != nil {
 		return err
 	}
@@ -404,14 +445,7 @@ func (s *graphSpace) expand(w, lo, hi int, succ func(int, markingSucc)) error {
 	var err error
 	s.g.store.Span(lo, hi, func(id int, m petri.Marking, row []byte) bool {
 		stride := len(row) == s.places
-		copy(cand, s.sources)
-		for p, c := range m {
-			if c > 0 {
-				for i, mw := range s.masks[p*len(cand) : (p+1)*len(cand)] {
-					cand[i] |= mw
-				}
-			}
-		}
+		s.candidates(cand, m)
 		for i, word := range cand {
 			for ; word != 0; word &= word - 1 {
 				ti := i*64 + bits.TrailingZeros64(word)
@@ -431,16 +465,24 @@ func (s *graphSpace) expand(w, lo, hi int, succ func(int, markingSucc)) error {
 				if !patched {
 					arena = s.appendFired(arena[:off], m, ti)
 				}
-				succ(id, markingSucc{w: int32(w), t: int32(t), off: uint32(off), end: uint32(len(arena))})
+				succ(id, rowSucc{w: int32(w), t: int32(t), off: uint32(off), end: uint32(len(arena))})
 			}
 		}
 		return true
 	})
 	buf.arena = arena
-	if err == nil && uint64(len(arena)) > math.MaxUint32 {
-		err = fmt.Errorf("reach: one window's successors exceed %d encoded bytes in a shard", uint64(math.MaxUint32))
+	if err == nil {
+		err = arenaErr(arena)
 	}
 	return err
+}
+
+// arenaErr rejects a shard arena whose offsets outgrow a rowSucc's.
+func arenaErr(arena []byte) error {
+	if uint64(len(arena)) > math.MaxUint32 {
+		return fmt.Errorf("reach: one window's successors exceed %d encoded bytes in a shard", uint64(math.MaxUint32))
+	}
+	return nil
 }
 
 // delta returns transition t's place changes.
@@ -477,9 +519,9 @@ func (s *graphSpace) appendFired(b []byte, m petri.Marking, t int) []byte {
 	return b
 }
 
-func (s *graphSpace) hash(c *markingSucc) uint64 { return hashRow(s.encoded(c)) }
+func (s *graphSpace) hash(c *rowSucc) uint64 { return hashRow(s.encoded(c)) }
 
-func (s *graphSpace) holds(w int, id int32, c *markingSucc) bool {
+func (s *graphSpace) holds(w int, id int32, c *rowSucc) bool {
 	if i := int(id) - s.first; i >= 0 {
 		start := 0
 		if i > 0 {
@@ -490,7 +532,7 @@ func (s *graphSpace) holds(w int, id int32, c *markingSucc) bool {
 	return bytes.Equal(s.g.store.Row(int(id), s.bufs[w].row), s.encoded(c))
 }
 
-func (s *graphSpace) same(a, b *markingSucc) bool {
+func (s *graphSpace) same(a, b *rowSucc) bool {
 	return bytes.Equal(s.encoded(a), s.encoded(b))
 }
 
@@ -509,10 +551,10 @@ func (s *graphSpace) open(lo, first int, counts []int32, total int) {
 // row only to check it against BoundCap, and only when the row could
 // exceed it: a stride-width row holds counts below 128 and so cannot
 // pass a cap of 127 or more. A duplicate's marking was checked when its
-// node was committed, except node 0's, whose over-cap place
-// newGraphSpace precomputed; so CapExceeded names the same place the
-// serial build does.
-func (s *graphSpace) commit(src int, c *markingSucc, id int32) (int32, bool) {
+// node was committed, except node 0's, whose over-cap place start
+// precomputed; so CapExceeded names the same place the serial build
+// does.
+func (s *graphSpace) commit(src int, c *rowSucc, id int32) (int32, bool) {
 	g := s.g
 	if id < 0 {
 		row := s.encoded(c)
@@ -521,8 +563,7 @@ func (s *graphSpace) commit(src int, c *markingSucc, id int32) (int32, bool) {
 			g.CapExceeded = s.overCap(s.cur)
 		}
 		if g.store.Len() >= s.opt.MaxStates {
-			s.truncate(src)
-			return -1, true
+			return -1, s.truncate(src)
 		}
 		id = int32(g.store.Add(row))
 		s.fresh = append(s.fresh, row...)
@@ -540,17 +581,34 @@ func (s *graphSpace) commit(src int, c *markingSucc, id int32) (int32, bool) {
 	return id, false
 }
 
-// truncate stops the build inside node src's expansion: src keeps the
-// edges committed so far, and the later nodes keep none.
-func (s *graphSpace) truncate(src int) {
-	s.g.Truncated, s.g.partial = true, src
+// truncate drops a new successor of node src past MaxStates and
+// reports whether the build stops. A timed build drains on, as the
+// serial one does: src loses only this edge. An untimed build stops
+// inside src's expansion: src keeps the edges committed so far, and the
+// later nodes keep none.
+func (s *graphSpace) truncate(src int) bool {
+	g := s.g
+	g.Truncated = true
 	l := &s.windows[len(s.windows)-1]
-	i, kept := src-l.lo, len(l.block)
+	i := src - l.lo
+	if g.cut == nil {
+		g.cut = make([]uint64, (g.store.Len()+63)/64)
+	}
+	if g.timed {
+		l.counts[i]--
+		g.cut[src/64] |= 1 << (src % 64)
+		return false
+	}
+	kept := len(l.block)
 	for _, n := range l.counts[:i] {
 		kept -= int(n)
 	}
 	l.counts[i] = int32(kept)
 	clear(l.counts[i+1:])
+	for id := src; id < g.store.Len(); id++ {
+		g.cut[id/64] |= 1 << (id % 64)
+	}
+	return true
 }
 
 // serialCheckEvery is how often (in processed nodes) the serial
@@ -558,10 +616,9 @@ func (s *graphSpace) truncate(src int) {
 const serialCheckEvery = 1024
 
 // Deadlocked reports whether node id is a deadlock: it has no
-// outgoing edge, and its expansion ran to the end. A truncated build
-// leaves the nodes from the one it stopped in onwards unexpanded.
+// outgoing edge, and truncation cut none from it.
 func (g *Graph) Deadlocked(id int) bool {
-	return len(g.Nodes[id].Out) == 0 && !(g.Truncated && id >= g.partial)
+	return len(g.Nodes[id].Out) == 0 && (g.cut == nil || g.cut[id/64]&(1<<(id%64)) == 0)
 }
 
 // Deadlocks returns the IDs of the deadlocked nodes (see Deadlocked).
@@ -597,7 +654,9 @@ func (g *Graph) DeadTransitions() []string {
 	fired := make([]bool, g.Net.NumTrans())
 	for i := range g.Nodes {
 		for _, e := range g.Nodes[i].Out {
-			fired[e.Trans] = true
+			if e.Trans != TimeAdvance {
+				fired[e.Trans] = true
+			}
 		}
 	}
 	var out []string
@@ -680,12 +739,6 @@ func (g *Graph) Summary() string {
 
 // Omega is the unbounded-place pseudo-count in coverability markings.
 const Omega = int(^uint(0) >> 1) // max int
-
-// CoverNode is a node of the Karp-Miller coverability tree, with Omega
-// marking components for unbounded places.
-type CoverNode struct {
-	Marking petri.Marking
-}
 
 // Coverability runs the Karp-Miller construction and returns the set of
 // places that are unbounded. Nets with inhibitor arcs are rejected: the

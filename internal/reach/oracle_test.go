@@ -5,15 +5,20 @@ package reach
 // The production builders must reproduce them bit for bit — node ids,
 // edge order, markings, timer vectors and flags — for every shard
 // count; the property tests in parallel_test.go,
-// timed_parallel_test.go and spill_test.go compare against them. The
-// oracles intern states through string keys (Marking.Key, timedKey),
-// so they share nothing with the frontier's hash-chain dedup.
+// timed_parallel_test.go, window_test.go, fuzz_test.go and
+// spill_test.go compare against them. The oracles intern states
+// through string keys (Marking.Key, timedKey), so they share nothing
+// with the frontier's dedup, and the timed oracle keeps its own
+// node-based state type and successor code (TimedNode,
+// timedSuccessors), so it shares nothing with the row-based timed
+// expand either.
 //
 // Do not "improve" this file; it is the numbering baseline.
 
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/petri"
@@ -153,6 +158,7 @@ func BuildTimedSerial(ctx context.Context, net *petri.Net, opt Options) (*TimedG
 		for _, s := range succs {
 			nid, fresh := intern(s.node)
 			if nid < 0 {
+				node.cut = true
 				continue
 			}
 			node.Out = append(node.Out, TimedEdge{Trans: s.label, Delta: s.delta, To: nid})
@@ -178,4 +184,190 @@ func timedKey(n *TimedNode) string {
 		fmt.Fprintf(&b, "%d:%d,", e.Trans, e.Left)
 	}
 	return b.String()
+}
+
+// TimedEdge is one edge of a timed reachability graph: either the start
+// of a firing (Trans >= 0, Delta == 0) or a time advance (Trans ==
+// TimeAdvance, Delta > 0).
+type TimedEdge struct {
+	Trans petri.TransID
+	Delta petri.Time
+	To    int
+}
+
+// TimedNode is one state of the timed graph [RP84]: a marking plus the
+// remaining firing times of in-progress transitions and the remaining
+// enabling times of enabled transitions. Only relative times appear, so
+// behaviourally identical states merge regardless of absolute clock.
+type TimedNode struct {
+	ID      int
+	Marking petri.Marking
+	// Pending holds (transition, remaining firing time), sorted.
+	Pending []Remaining
+	// Enab holds (transition, remaining enabling time) for enabled
+	// transitions, sorted by transition.
+	Enab []Remaining
+	Out  []TimedEdge
+	// cut is set when truncation dropped a successor of this state.
+	cut bool
+}
+
+// Remaining pairs a transition with a remaining duration.
+type Remaining struct {
+	Trans petri.TransID
+	Left  petri.Time
+}
+
+// TimedGraph is the timed reachability graph of a net whose delays are
+// all constant.
+type TimedGraph struct {
+	Net       *petri.Net
+	Nodes     []*TimedNode
+	Truncated bool
+}
+
+// timedRoot builds and interns node 0.
+func timedRoot(net *petri.Net) (*TimedNode, error) {
+	root := &TimedNode{Marking: net.InitialMarking()}
+	if err := refreshEnab(net, root, nil); err != nil {
+		return nil, err
+	}
+	return root, nil
+}
+
+// timedSucc is one successor timedSuccessors returns and its edge
+// label.
+type timedSucc struct {
+	node  *TimedNode
+	label petri.TransID
+	delta petri.Time
+}
+
+// refreshEnab recomputes the enabled set of n, keeping existing timers
+// for transitions of prev that stay enabled and starting fresh timers
+// for newly enabled ones. restart forces a fresh timer for one
+// transition (the one that just fired).
+func refreshEnab(net *petri.Net, n *TimedNode, prev []Remaining, restart ...petri.TransID) error {
+	active := make(map[petri.TransID]int)
+	for _, p := range n.Pending {
+		active[p.Trans]++
+	}
+	old := make(map[petri.TransID]petri.Time, len(prev))
+	for _, e := range prev {
+		old[e.Trans] = e.Left
+	}
+	forceRestart := make(map[petri.TransID]bool, len(restart))
+	for _, t := range restart {
+		forceRestart[t] = true
+	}
+	n.Enab = n.Enab[:0]
+	for ti := range net.Trans {
+		t := petri.TransID(ti)
+		tr := &net.Trans[ti]
+		if tr.EffFreq() == 0 {
+			continue
+		}
+		if tr.Servers > 0 && active[t] >= tr.Servers {
+			continue
+		}
+		ok, err := net.Enabled(t, n.Marking, nil)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		left, had := old[t]
+		if !had || forceRestart[t] {
+			left, _ = constOf(tr.Enabling)
+		}
+		n.Enab = append(n.Enab, Remaining{Trans: t, Left: left})
+	}
+	sort.Slice(n.Enab, func(i, j int) bool { return n.Enab[i].Trans < n.Enab[j].Trans })
+	return nil
+}
+
+// timedSuccessors expands one node.
+func timedSuccessors(net *petri.Net, node *TimedNode) ([]timedSucc, error) {
+	var succs []timedSucc
+	// Start events: one successor per ripe transition.
+	for _, e := range node.Enab {
+		if e.Left != 0 {
+			continue
+		}
+		t := e.Trans
+		next := &TimedNode{
+			Marking: node.Marking.Clone(),
+			Pending: append([]Remaining(nil), node.Pending...),
+		}
+		net.Consume(t, next.Marking)
+		f, _ := constOf(net.Trans[t].Firing)
+		if f == 0 {
+			net.Produce(t, next.Marking)
+		} else {
+			next.Pending = append(next.Pending, Remaining{Trans: t, Left: f})
+			sortPending(next.Pending)
+		}
+		if err := refreshEnab(net, next, node.Enab, t); err != nil {
+			return nil, err
+		}
+		succs = append(succs, timedSucc{node: next, label: t})
+	}
+	if len(succs) > 0 {
+		return succs, nil
+	}
+	// No ripe transition: advance time to the next completion or
+	// ripening.
+	var delta petri.Time
+	has := false
+	for _, p := range node.Pending {
+		if !has || p.Left < delta {
+			delta, has = p.Left, true
+		}
+	}
+	for _, e := range node.Enab {
+		if e.Left > 0 && (!has || e.Left < delta) {
+			delta, has = e.Left, true
+		}
+	}
+	if !has {
+		return nil, nil // deadlock
+	}
+	next := &TimedNode{Marking: node.Marking.Clone()}
+	for _, p := range node.Pending {
+		if p.Left-delta == 0 {
+			net.Produce(p.Trans, next.Marking)
+		} else {
+			next.Pending = append(next.Pending, Remaining{Trans: p.Trans, Left: p.Left - delta})
+		}
+	}
+	sortPending(next.Pending)
+	aged := make([]Remaining, len(node.Enab))
+	for i, e := range node.Enab {
+		left := e.Left - delta
+		if left < 0 {
+			left = 0
+		}
+		aged[i] = Remaining{Trans: e.Trans, Left: left}
+	}
+	if err := refreshEnab(net, next, aged); err != nil {
+		return nil, err
+	}
+	return []timedSucc{{node: next, label: TimeAdvance, delta: delta}}, nil
+}
+
+func sortPending(p []Remaining) {
+	sort.Slice(p, func(i, j int) bool {
+		if p[i].Left != p[j].Left {
+			return p[i].Left < p[j].Left
+		}
+		return p[i].Trans < p[j].Trans
+	})
+}
+
+// Deadlocked reports whether node id is a deadlock: it has no
+// successor, and truncation dropped none.
+func (g *TimedGraph) Deadlocked(id int) bool {
+	n := g.Nodes[id]
+	return len(n.Out) == 0 && !n.cut
 }

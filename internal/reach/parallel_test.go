@@ -234,7 +234,7 @@ func TestBuildsMatchOraclesWithHashCollisions(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := sp.finish(explore[markingSucc](ctx, collidingSpace[markingSucc]{sp}, sp.root, sp.shards, &sp.g.Stats))
+				got, err := sp.finish(explore[rowSucc](ctx, collidingSpace[rowSucc]{sp}, sp.root, sp.shards, &sp.g.Stats))
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
@@ -249,14 +249,17 @@ func TestBuildsMatchOraclesWithHashCollisions(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{1, 2, 8} {
-				sp, err := newTimedSpace(tc.net, tc.opt)
+				opt := tc.opt
+				opt.Shards = shards
+				sp, err := newTimedSpace(tc.net, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := explore[timedSucc](ctx, collidingSpace[timedSucc]{sp}, sp.root, shards, &sp.g.Stats); err != nil {
+				got, err := sp.finish(explore[rowSucc](ctx, collidingSpace[rowSucc]{sp}, sp.root, sp.shards, &sp.g.Stats))
+				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
-				timedGraphsIdentical(t, want, sp.g)
+				timedGraphsIdentical(t, want, got)
 			}
 		})
 	}

@@ -412,9 +412,9 @@ func TestTimedGraphFiringTimes(t *testing.T) {
 	}
 	// Time-advance edges carry deltas.
 	sawDelta := false
-	for _, n := range g.Nodes {
+	for id, n := range g.Nodes {
 		for _, e := range n.Out {
-			if e.Trans == TimeAdvance && e.Delta > 0 {
+			if e.Trans == TimeAdvance && g.Advance(id) == 4 {
 				sawDelta = true
 			}
 		}

@@ -4,7 +4,9 @@
 // marking whose counts are all below 128 is one byte per place. The
 // frontier builds its candidates in the same form, so a new state is
 // stored by appending its candidate bytes verbatim, and a committed
-// state is compared to a candidate byte for byte.
+// state is compared to a candidate byte for byte. A timed state's row
+// is its marking's row with the timers appended (timed.go); MemStore
+// stores it like any other row, and decoding reads the marking prefix.
 //
 // Two implementations exist behind the StateStore interface: MemStore
 // (below) keeps every row in one in-memory buffer; SpillStore
@@ -178,7 +180,7 @@ func readMarking(row []byte, dst petri.Marking) {
 	}
 }
 
-// hashRow is the dedup hash of an untimed candidate row: a fixed-key
+// hashRow is the dedup hash of a candidate row, untimed or timed: a fixed-key
 // 64-bit hash that reads the row eight bytes at a time, with a final
 // avalanche so that both the low bits (which pick the owning shard) and
 // the high bits (which pick a table slot) depend on every byte. Node
@@ -216,32 +218,4 @@ const (
 	rowSeed = 0x9e3779b97f4a7c15
 	rowMul1 = 0xbf58476d1ce4e5b9
 	rowMul2 = 0x94d049bb133111eb
-)
-
-// hashMarking is the binary marking hash the timed space's dedup is
-// keyed by: FNV-1a over the row of the counts, folded in without
-// encoding. The low bits pick the owning shard.
-func hashMarking(m petri.Marking) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range m {
-		h = fnvVarint(h, uint64(c))
-	}
-	return h
-}
-
-// fnvVarint folds the varint encoding of v into the FNV-1a hash h.
-func fnvVarint(h, v uint64) uint64 {
-	for v >= 0x80 {
-		h ^= v&0x7f | 0x80
-		h *= fnvPrime64
-		v >>= 7
-	}
-	h ^= v
-	h *= fnvPrime64
-	return h
-}
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
 )

@@ -2,68 +2,77 @@ package reach
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/petri"
 )
 
-// TimeAdvance labels edges of the timed graph that advance the clock to
-// the next event (completing any firings that become due) rather than
-// starting a transition.
-const TimeAdvance petri.TransID = -1
+// TimeAdvance labels the edges of a timed graph that advance the clock
+// to the next event (completing any firings that become due) rather
+// than starting a transition. Graph.Advance gives the amount.
+const TimeAdvance = -1
 
-// TimedEdge is one edge of a timed reachability graph: either the start
-// of a firing (Trans >= 0, Delta == 0) or a time advance (Trans ==
-// TimeAdvance, Delta > 0).
-type TimedEdge struct {
-	Trans petri.TransID
-	Delta petri.Time
-	To    int
+// A timed state [RP84] is a marking plus the remaining firing times of
+// in-progress transitions and the remaining enabling times of enabled
+// transitions. Only relative times appear, so behaviourally identical
+// states merge regardless of absolute clock. Its row is the marking's
+// row (appendMarking), then the pending count, the (transition,
+// remaining firing time) pairs sorted by time and then transition, and
+// the (transition, remaining enabling time) pairs of the enabled
+// transitions in ascending transition order, every number a uvarint.
+// The pending count delimits the two lists, so the encoding is
+// injective and the frontier dedups timed states byte for byte, as it
+// does markings.
+
+// timer is one (transition, remaining time) pair of a timed state.
+type timer struct {
+	t    int32
+	left petri.Time
 }
 
-// TimedNode is one state of the timed graph [RP84]: a marking plus the
-// remaining firing times of in-progress transitions and the remaining
-// enabling times of enabled transitions. Only relative times appear, so
-// behaviourally identical states merge regardless of absolute clock.
-type TimedNode struct {
-	ID      int
-	Marking petri.Marking
-	// Pending holds (transition, remaining firing time), sorted.
-	Pending []Remaining
-	// Enab holds (transition, remaining enabling time) for enabled
-	// transitions, sorted by transition.
-	Enab []Remaining
-	Out  []TimedEdge
-	// cut is set when truncation dropped a successor of this state.
-	cut bool
-}
-
-// Remaining pairs a transition with a remaining duration.
-type Remaining struct {
-	Trans petri.TransID
-	Left  petri.Time
-}
-
-// Ripe reports whether some transition may start firing immediately.
-func (n *TimedNode) Ripe() bool {
-	for _, e := range n.Enab {
-		if e.Left == 0 {
-			return true
+// walkTimers calls fn for each timer of a timed row in row order:
+// first the pending firings, then the enabling timers.
+func walkTimers(row []byte, places int, fn func(pending bool, tm timer)) {
+	off := 0
+	for p := 0; p < places; off++ { // skip the marking: a uvarint ends on a byte below 0x80
+		if row[off] < 0x80 {
+			p++
 		}
 	}
-	return false
+	n, k := binary.Uvarint(row[off:])
+	off += k
+	for pending := int(n); off < len(row); pending-- {
+		t, k1 := binary.Uvarint(row[off:])
+		left, k2 := binary.Uvarint(row[off+k1:])
+		off += k1 + k2
+		fn(pending > 0, timer{t: int32(t), left: petri.Time(left)})
+	}
 }
 
-// TimedGraph is the timed reachability graph of a net whose delays are
-// all constant.
-type TimedGraph struct {
-	Net       *petri.Net
-	Nodes     []*TimedNode
-	Truncated bool
-	// Stats counts the work of the build that made the graph.
-	Stats BuildStats
+// rowAdvance returns the clock advance out of a timed row, the least of
+// its pending firing times and positive enabling times, and false if
+// no timer runs.
+func rowAdvance(row []byte, places int) (delta petri.Time, ok bool) {
+	walkTimers(row, places, func(pending bool, tm timer) {
+		if (pending || tm.left > 0) && (!ok || tm.left < delta) {
+			delta, ok = tm.left, true
+		}
+	})
+	return delta, ok
+}
+
+// Advance returns the clock advance of node id of a timed graph: the
+// amount its TimeAdvance edge, if it has one, moves the clock. It is 0
+// on an untimed graph.
+func (g *Graph) Advance(id int) petri.Time {
+	if !g.timed {
+		return 0
+	}
+	delta, _ := rowAdvance(g.store.Row(id, nil), g.Net.NumPlaces())
+	return delta
 }
 
 // constDelay extracts a constant delay, rejecting distributions.
@@ -92,251 +101,6 @@ func timedValidate(net *petri.Net) error {
 	return nil
 }
 
-// timedRoot builds and interns node 0.
-func timedRoot(net *petri.Net) (*TimedNode, error) {
-	root := &TimedNode{Marking: net.InitialMarking()}
-	if err := refreshEnab(net, root, nil); err != nil {
-		return nil, err
-	}
-	return root, nil
-}
-
-// BuildTimed constructs the timed reachability graph. The construction
-// follows the simulator's semantics exactly, but branches over every
-// ripe transition where the simulator draws one at random; firing
-// frequencies are therefore irrelevant here (except that frequency-0
-// transitions never fire). Nets with non-constant delays, predicates or
-// actions are rejected.
-//
-// Like Build, the search is the sharded frontier of explore over
-// opt.Shards goroutines, so the graph is bit-identical to a serial FIFO
-// construction for any shard count — including after truncation: past
-// MaxStates no state is added, but the drain continues and later
-// levels still attach edges between committed states. ctx is checked
-// at every window barrier.
-func BuildTimed(ctx context.Context, net *petri.Net, opt Options) (*TimedGraph, error) {
-	sp, err := newTimedSpace(net, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := explore[timedSucc](ctx, sp, sp.root, opt.shardCount(), &sp.g.Stats); err != nil {
-		return nil, err
-	}
-	return sp.g, nil
-}
-
-// timedSpace is the timed state space: whole *TimedNode states, deduped
-// by hashTimed and sameState; commit drops states past MaxStates but
-// never stops the drain.
-type timedSpace struct {
-	g    *TimedGraph
-	max  int
-	root timedSucc
-}
-
-// newTimedSpace validates net and commits the initial state as node 0.
-func newTimedSpace(net *petri.Net, opt Options) (*timedSpace, error) {
-	opt.defaults()
-	if err := timedValidate(net); err != nil {
-		return nil, err
-	}
-	root, err := timedRoot(net)
-	if err != nil {
-		return nil, err
-	}
-	g := &TimedGraph{Net: net, Nodes: []*TimedNode{root}}
-	return &timedSpace{g: g, max: opt.MaxStates, root: timedSucc{node: root}}, nil
-}
-
-func (s *timedSpace) expand(_, lo, hi int, succ func(int, timedSucc)) error {
-	for id := lo; id < hi; id++ {
-		succs, err := timedSuccessors(s.g.Net, s.g.Nodes[id])
-		if err != nil {
-			return err
-		}
-		for _, c := range succs {
-			succ(id, c)
-		}
-	}
-	return nil
-}
-
-func (s *timedSpace) hash(c *timedSucc) uint64 { return hashTimed(c.node) }
-
-func (s *timedSpace) holds(_ int, id int32, c *timedSucc) bool {
-	return sameState(s.g.Nodes[id], c.node)
-}
-
-func (s *timedSpace) same(a, b *timedSucc) bool { return sameState(a.node, b.node) }
-
-func (s *timedSpace) open(int, int, []int32, int) {}
-
-func (s *timedSpace) commit(src int, c *timedSucc, id int32) (int32, bool) {
-	g := s.g
-	if id < 0 {
-		if len(g.Nodes) >= s.max {
-			g.Truncated = true
-			g.Nodes[src].cut = true
-			return -1, false
-		}
-		id = int32(len(g.Nodes))
-		c.node.ID = int(id)
-		g.Nodes = append(g.Nodes, c.node)
-	}
-	g.Nodes[src].Out = append(g.Nodes[src].Out, TimedEdge{Trans: c.label, Delta: c.delta, To: int(id)})
-	return id, false
-}
-
-// hashTimed is the dedup hash of a timed state: hashMarking extended
-// over the pending and enabling timers (the pending count delimits the
-// two lists).
-func hashTimed(n *TimedNode) uint64 {
-	h := fnvVarint(hashMarking(n.Marking), uint64(len(n.Pending)))
-	for _, r := range n.Pending {
-		h = fnvVarint(fnvVarint(h, uint64(r.Trans)), uint64(r.Left))
-	}
-	for _, r := range n.Enab {
-		h = fnvVarint(fnvVarint(h, uint64(r.Trans)), uint64(r.Left))
-	}
-	return h
-}
-
-// sameState reports whether two timed nodes are the same state: equal
-// markings and equal pending and enabling timer lists.
-func sameState(a, b *TimedNode) bool {
-	return a.Marking.Equal(b.Marking) && slices.Equal(a.Pending, b.Pending) && slices.Equal(a.Enab, b.Enab)
-}
-
-// timedSucc is one timed successor and its edge label. delta rides
-// here, not in the frontier's cand, so untimed candidates stay small.
-type timedSucc struct {
-	node  *TimedNode
-	label petri.TransID
-	delta petri.Time
-}
-
-// refreshEnab recomputes the enabled set of n, keeping existing timers
-// for transitions of prev that stay enabled and starting fresh timers
-// for newly enabled ones. restart forces a fresh timer for one
-// transition (the one that just fired).
-func refreshEnab(net *petri.Net, n *TimedNode, prev []Remaining, restart ...petri.TransID) error {
-	active := make(map[petri.TransID]int)
-	for _, p := range n.Pending {
-		active[p.Trans]++
-	}
-	old := make(map[petri.TransID]petri.Time, len(prev))
-	for _, e := range prev {
-		old[e.Trans] = e.Left
-	}
-	forceRestart := make(map[petri.TransID]bool, len(restart))
-	for _, t := range restart {
-		forceRestart[t] = true
-	}
-	n.Enab = n.Enab[:0]
-	for ti := range net.Trans {
-		t := petri.TransID(ti)
-		tr := &net.Trans[ti]
-		if tr.EffFreq() == 0 {
-			continue
-		}
-		if tr.Servers > 0 && active[t] >= tr.Servers {
-			continue
-		}
-		ok, err := net.Enabled(t, n.Marking, nil)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		left, had := old[t]
-		if !had || forceRestart[t] {
-			left, _ = constOf(tr.Enabling)
-		}
-		n.Enab = append(n.Enab, Remaining{Trans: t, Left: left})
-	}
-	sort.Slice(n.Enab, func(i, j int) bool { return n.Enab[i].Trans < n.Enab[j].Trans })
-	return nil
-}
-
-// timedSuccessors expands one node.
-func timedSuccessors(net *petri.Net, node *TimedNode) ([]timedSucc, error) {
-	var succs []timedSucc
-	// Start events: one successor per ripe transition.
-	for _, e := range node.Enab {
-		if e.Left != 0 {
-			continue
-		}
-		t := e.Trans
-		next := &TimedNode{
-			Marking: node.Marking.Clone(),
-			Pending: append([]Remaining(nil), node.Pending...),
-		}
-		net.Consume(t, next.Marking)
-		f, _ := constOf(net.Trans[t].Firing)
-		if f == 0 {
-			net.Produce(t, next.Marking)
-		} else {
-			next.Pending = append(next.Pending, Remaining{Trans: t, Left: f})
-			sortPending(next.Pending)
-		}
-		if err := refreshEnab(net, next, node.Enab, t); err != nil {
-			return nil, err
-		}
-		succs = append(succs, timedSucc{node: next, label: t})
-	}
-	if len(succs) > 0 {
-		return succs, nil
-	}
-	// No ripe transition: advance time to the next completion or
-	// ripening.
-	var delta petri.Time
-	has := false
-	for _, p := range node.Pending {
-		if !has || p.Left < delta {
-			delta, has = p.Left, true
-		}
-	}
-	for _, e := range node.Enab {
-		if e.Left > 0 && (!has || e.Left < delta) {
-			delta, has = e.Left, true
-		}
-	}
-	if !has {
-		return nil, nil // deadlock
-	}
-	next := &TimedNode{Marking: node.Marking.Clone()}
-	for _, p := range node.Pending {
-		if p.Left-delta == 0 {
-			net.Produce(p.Trans, next.Marking)
-		} else {
-			next.Pending = append(next.Pending, Remaining{Trans: p.Trans, Left: p.Left - delta})
-		}
-	}
-	sortPending(next.Pending)
-	aged := make([]Remaining, len(node.Enab))
-	for i, e := range node.Enab {
-		left := e.Left - delta
-		if left < 0 {
-			left = 0
-		}
-		aged[i] = Remaining{Trans: e.Trans, Left: left}
-	}
-	if err := refreshEnab(net, next, aged); err != nil {
-		return nil, err
-	}
-	return []timedSucc{{node: next, label: TimeAdvance, delta: delta}}, nil
-}
-
-func sortPending(p []Remaining) {
-	sort.Slice(p, func(i, j int) bool {
-		if p[i].Left != p[j].Left {
-			return p[i].Left < p[j].Left
-		}
-		return p[i].Trans < p[j].Trans
-	})
-}
-
 func constOf(d petri.Delay) (petri.Time, bool) {
 	if d == nil {
 		return 0, true
@@ -344,37 +108,205 @@ func constOf(d petri.Delay) (petri.Time, bool) {
 	return d.Const()
 }
 
-// Deadlocked reports whether node id is a deadlock: it has no
-// successor, and truncation dropped none.
-func (g *TimedGraph) Deadlocked(id int) bool {
-	n := g.Nodes[id]
-	return len(n.Out) == 0 && !n.cut
+// BuildTimed constructs the timed reachability graph. The construction
+// follows the simulator's semantics exactly, but branches over every
+// ripe transition where the simulator draws one at random; firing
+// frequencies are therefore irrelevant here (except that frequency-0
+// transitions never fire). Nets with non-constant delays, predicates or
+// actions are rejected, and so is the spill store: a timed row's timer
+// suffix has no fixed number of fields, and a spill block frames rows
+// of one uvarint per place.
+//
+// Like Build, the search is the sharded frontier of explore over
+// opt.Shards goroutines, so the graph is bit-identical to a serial FIFO
+// construction for any shard count — including after truncation: past
+// MaxStates no state is added, but the drain continues and later
+// levels still attach edges between committed states. ctx is checked
+// at every window barrier.
+func BuildTimed(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
+	sp, err := newTimedSpace(net, opt)
+	if err != nil {
+		return nil, err
+	}
+	return sp.finish(explore[rowSucc](ctx, sp, sp.root, sp.shards, &sp.g.Stats))
 }
 
-// Deadlocks returns the deadlocked nodes (see Deadlocked).
-func (g *TimedGraph) Deadlocks() []int {
-	var out []int
-	for id := range g.Nodes {
-		if g.Deadlocked(id) {
-			out = append(out, id)
-		}
-	}
-	return out
+// timedSpace is the timed state space: graphSpace's rows, dedup, edge
+// blocks and commit, with an expand that writes timed rows. Start
+// edges are labelled by their transition, time advances by
+// TimeAdvance.
+type timedSpace struct {
+	*graphSpace
+	firing, enabling []petri.Time // per transition: its constant delays
+	tbufs            []timedBuf   // per shard
 }
 
-// MaxTokens returns the largest token count place reaches in the timed
-// graph (the timed bound can be much tighter than the untimed one,
-// which is the point of timed analysis).
-func (g *TimedGraph) MaxTokens(place string) (int, error) {
-	id, ok := g.Net.PlaceID(place)
-	if !ok {
-		return 0, fmt.Errorf("reach: unknown place %q", place)
+// timedBuf is one shard's reused scratch for decoding a timed state and
+// writing its successors.
+type timedBuf struct {
+	next       petri.Marking
+	pend, enab []timer // the state being expanded
+	npend      []timer // a successor's pending firings
+	aged       []timer // the enabling timers after a time advance
+	active     []int32 // per transition: its firings in npend
+}
+
+// newTimedSpace validates net and commits the initial state as node 0.
+func newTimedSpace(net *petri.Net, opt Options) (*timedSpace, error) {
+	if err := timedValidate(net); err != nil {
+		return nil, err
 	}
-	max := 0
-	for _, n := range g.Nodes {
-		if n.Marking[id] > max {
-			max = n.Marking[id]
+	if name := opt.StoreName(); name != StoreMem {
+		if err := opt.CheckStore(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("reach: the timed graph needs the %q state store, not %q: spill blocks frame rows of one count per place, and timed rows carry timers", StoreMem, name)
+	}
+	gs, err := newSpace(net, opt)
+	if err != nil {
+		return nil, err
+	}
+	gs.g.timed = true
+	nt := len(net.Trans)
+	s := &timedSpace{graphSpace: gs, firing: make([]petri.Time, nt), enabling: make([]petri.Time, nt), tbufs: make([]timedBuf, gs.shards)}
+	for t := range net.Trans {
+		s.firing[t], _ = constOf(net.Trans[t].Firing)
+		s.enabling[t], _ = constOf(net.Trans[t].Enabling)
+	}
+	for w := range s.tbufs {
+		s.tbufs[w].next = make(petri.Marking, gs.places)
+		s.tbufs[w].active = make([]int32, nt)
+	}
+	m0 := net.InitialMarking()
+	root, err := s.appendState(nil, 0, m0, nil, nil, -1)
+	if err != nil {
+		return nil, err
+	}
+	gs.start(root, m0)
+	return s, nil
+}
+
+// expand writes the rows of each state's successors into shard w's
+// arena: one start per ripe transition (enabling time 0), in ascending
+// transition order, or, when none is ripe, one time advance by
+// rowAdvance. A state with neither is a deadlock.
+func (s *timedSpace) expand(w, lo, hi int, succ func(int, rowSucc)) error {
+	net := s.g.Net
+	buf, tb := &s.bufs[w], &s.tbufs[w]
+	arena := buf.arena[:0]
+	var err error
+	s.g.store.Span(lo, hi, func(id int, m petri.Marking, row []byte) bool {
+		pend, enab := tb.pend[:0], tb.enab[:0]
+		walkTimers(row, s.places, func(pending bool, tm timer) {
+			if pending {
+				pend = append(pend, tm)
+			} else {
+				enab = append(enab, tm)
+			}
+		})
+		tb.pend, tb.enab = pend, enab
+		started := false
+		for _, e := range enab {
+			if e.left != 0 {
+				continue
+			}
+			started = true
+			next := append(tb.next[:0], m...)
+			t := petri.TransID(e.t)
+			net.Consume(t, next)
+			npend := append(tb.npend[:0], pend...)
+			if f := s.firing[t]; f == 0 {
+				net.Produce(t, next)
+			} else {
+				i := 0
+				for i < len(npend) && (npend[i].left < f || npend[i].left == f && npend[i].t < e.t) {
+					i++
+				}
+				npend = slices.Insert(npend, i, timer{t: e.t, left: f})
+			}
+			tb.npend = npend
+			off := len(arena)
+			if arena, err = s.appendState(arena, w, next, npend, enab, e.t); err != nil {
+				return false
+			}
+			succ(id, rowSucc{w: int32(w), t: e.t, off: uint32(off), end: uint32(len(arena))})
+		}
+		if started {
+			return true
+		}
+		delta, ok := rowAdvance(row, s.places)
+		if !ok {
+			return true
+		}
+		next, npend := append(tb.next[:0], m...), tb.npend[:0]
+		for _, p := range pend {
+			if p.left-delta == 0 {
+				net.Produce(petri.TransID(p.t), next)
+			} else {
+				npend = append(npend, timer{t: p.t, left: p.left - delta})
+			}
+		}
+		aged := tb.aged[:0]
+		for _, e := range enab {
+			aged = append(aged, timer{t: e.t, left: max(e.left-delta, 0)})
+		}
+		tb.npend, tb.aged = npend, aged
+		off := len(arena)
+		if arena, err = s.appendState(arena, w, next, npend, aged, -1); err != nil {
+			return false
+		}
+		succ(id, rowSucc{w: int32(w), t: TimeAdvance, off: uint32(off), end: uint32(len(arena))})
+		return true
+	})
+	buf.arena = arena
+	if err == nil {
+		err = arenaErr(arena)
+	}
+	return err
+}
+
+// appendState appends, with shard w's scratch, the row of the timed
+// state with marking m and pending firings pend, and computes its
+// enabling timers over the candidate transitions of m: a transition
+// with frequency 0, or with all its servers busy, is not enabled; an
+// enabled one keeps its timer from prev unless it is restart (the one
+// that just started) or was not enabled before, and then starts its
+// enabling time afresh.
+func (s *timedSpace) appendState(b []byte, w int, m petri.Marking, pend, prev []timer, restart int32) ([]byte, error) {
+	net, tb, cand := s.g.Net, &s.tbufs[w], s.bufs[w].cand
+	b = appendMarking(b, m)
+	b = binary.AppendUvarint(b, uint64(len(pend)))
+	for _, p := range pend {
+		tb.active[p.t]++
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(p.t)), uint64(p.left))
+	}
+	s.candidates(cand, m)
+	for i, word := range cand {
+		for ; word != 0; word &= word - 1 {
+			ti := i*64 + bits.TrailingZeros64(word)
+			tr := &net.Trans[ti]
+			if tr.EffFreq() == 0 || tr.Servers > 0 && int(tb.active[ti]) >= tr.Servers {
+				continue
+			}
+			ok, err := net.Enabled(petri.TransID(ti), m, nil)
+			if err != nil {
+				return b, err
+			}
+			if !ok {
+				continue
+			}
+			for len(prev) > 0 && int(prev[0].t) < ti {
+				prev = prev[1:]
+			}
+			left := s.enabling[ti]
+			if len(prev) > 0 && int(prev[0].t) == ti && int32(ti) != restart {
+				left = prev[0].left
+			}
+			b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(ti)), uint64(left))
 		}
 	}
-	return max, nil
+	for _, p := range pend {
+		tb.active[p.t]--
+	}
+	return b, nil
 }

@@ -2,15 +2,18 @@ package reach
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/petri"
 	"repro/internal/pipeline"
 )
 
-// timedGraphsIdentical asserts bit-identity between two timed graphs:
-// same node ids, markings, timer vectors, edge order and flags.
-func timedGraphsIdentical(t *testing.T, want, got *TimedGraph) {
+// timedGraphsIdentical asserts that got, a row-based timed graph, is
+// the oracle graph want: the same node count and truncation flag, and
+// per node the same marking, pending and enabling timers, edges in
+// order, time advance and deadlock flag.
+func timedGraphsIdentical(t *testing.T, want *TimedGraph, got *Graph) {
 	t.Helper()
 	if len(want.Nodes) != len(got.Nodes) {
 		t.Fatalf("nodes: %d != %d", len(got.Nodes), len(want.Nodes))
@@ -18,21 +21,38 @@ func timedGraphsIdentical(t *testing.T, want, got *TimedGraph) {
 	if want.Truncated != got.Truncated {
 		t.Fatalf("truncated: %v != %v", got.Truncated, want.Truncated)
 	}
-	for i := range want.Nodes {
-		w, g := want.Nodes[i], got.Nodes[i]
-		if w.ID != g.ID || !w.Marking.Equal(g.Marking) {
-			t.Fatalf("node %d: id/marking mismatch: %v != %v", i, g.Marking, w.Marking)
+	places := want.Net.NumPlaces()
+	for i, w := range want.Nodes {
+		if m := got.MarkingOf(i); w.ID != got.Nodes[i].ID || !w.Marking.Equal(m) {
+			t.Fatalf("node %d: id/marking mismatch: %v != %v", i, m, w.Marking)
 		}
-		if timedKey(w) != timedKey(g) {
-			t.Fatalf("node %d: state key %q != %q", i, timedKey(g), timedKey(w))
-		}
-		if len(w.Out) != len(g.Out) {
-			t.Fatalf("node %d: %d edges, want %d", i, len(g.Out), len(w.Out))
-		}
-		for j := range w.Out {
-			if w.Out[j] != g.Out[j] {
-				t.Fatalf("node %d edge %d: %+v != %+v", i, j, g.Out[j], w.Out[j])
+		var pend, enab []Remaining
+		walkTimers(got.store.Row(i, nil), places, func(pending bool, tm timer) {
+			r := Remaining{Trans: petri.TransID(tm.t), Left: tm.left}
+			if pending {
+				pend = append(pend, r)
+			} else {
+				enab = append(enab, r)
 			}
+		})
+		if !slices.Equal(pend, w.Pending) || !slices.Equal(enab, w.Enab) {
+			t.Fatalf("node %d: timers %v | %v, want %v | %v", i, pend, enab, w.Pending, w.Enab)
+		}
+		out := got.Nodes[i].Out
+		if len(w.Out) != len(out) {
+			t.Fatalf("node %d: %d edges, want %d", i, len(out), len(w.Out))
+		}
+		for j, we := range w.Out {
+			ge := TimedEdge{Trans: petri.TransID(out[j].Trans), To: int(out[j].To)}
+			if ge.Trans == TimeAdvance {
+				ge.Delta = got.Advance(i)
+			}
+			if ge != we {
+				t.Fatalf("node %d edge %d: %+v != %+v", i, j, ge, we)
+			}
+		}
+		if want.Deadlocked(i) != got.Deadlocked(i) {
+			t.Fatalf("node %d: deadlocked %v, want %v", i, got.Deadlocked(i), want.Deadlocked(i))
 		}
 	}
 }
@@ -114,7 +134,7 @@ func TestParallelBuildTimedMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("%s: %d states, truncated=%v", tc.name, len(want.Nodes), want.Truncated)
-			for _, shards := range []int{1, 2, 8} {
+			for _, shards := range []int{1, 2, 3, 8} {
 				opt := tc.opt
 				opt.Shards = shards
 				got, err := BuildTimed(context.Background(), tc.net, opt)

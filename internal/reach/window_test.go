@@ -3,6 +3,7 @@ package reach
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 
@@ -146,12 +147,12 @@ func TestWideLevelsMatchOracles(t *testing.T) {
 							t.Fatalf("stats %+v, the serial graph's split is %+v", got.Stats, wantStats)
 						}
 					case partial < 0:
-						partial = got.partial
+						partial = firstCut(got)
 						if lo, _ := levelOf(starts, partial); partial-lo < window*3 {
 							t.Fatalf("MaxStates %d stops in node %d, in the first window of level %d at 3 shards", tc.max, partial, lo)
 						}
-					case got.partial != partial:
-						t.Fatalf("truncated in node %d, at one shard in %d", got.partial, partial)
+					case firstCut(got) != partial:
+						t.Fatalf("truncated in node %d, at one shard in %d", firstCut(got), partial)
 					}
 				})
 			}
@@ -180,6 +181,17 @@ func TestWideLevelsMatchOracles(t *testing.T) {
 		}
 		timedGraphsIdentical(t, twant, got)
 	}
+}
+
+// firstCut returns the first node g's truncation left not fully
+// expanded, or -1.
+func firstCut(g *Graph) int {
+	for i, word := range g.cut {
+		if word != 0 {
+			return i*64 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
 }
 
 // cancellingSpace cancels its context when a shard starts expanding
@@ -222,8 +234,8 @@ func TestWideLevelCancelled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := &cancellingSpace[markingSucc]{space: sp, at: lo, cancel: cancel}
-		g, err := sp.finish(explore[markingSucc](ctx, cs, sp.root, sp.shards, &sp.g.Stats))
+		cs := &cancellingSpace[rowSucc]{space: sp, at: lo, cancel: cancel}
+		g, err := sp.finish(explore[rowSucc](ctx, cs, sp.root, sp.shards, &sp.g.Stats))
 		cancel()
 		if err != context.Canceled || g != nil {
 			t.Fatalf("shards=%d: got a graph %v and err %v, want context.Canceled", shards, g != nil, err)

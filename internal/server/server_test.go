@@ -467,6 +467,8 @@ func TestSubmitValidation(t *testing.T) {
 		"bad format":    {`{"model":"cache","throughput":["Issue"],"format":"xml"}`, http.StatusBadRequest},
 		"grid too big": {`{"model":"cache","axes":["DHitRatio=0:1:0.1"],"reps":3,"throughput":["Issue"]}`,
 			http.StatusBadRequest},
+		"grid overflows int": {`{"model":"cache","axes":["DHitRatio=0:65535:1","IHitRatio=0:65535:1","MemoryCycles=0:65535:1","HitCycles=0:65535:1"],"throughput":["Issue"]}`,
+			http.StatusBadRequest},
 		"body too big": {fmt.Sprintf(`{"net":%q,"throughput":["Issue"]}`, strings.Repeat("x", 600)),
 			http.StatusRequestEntityTooLarge},
 	}

@@ -166,8 +166,8 @@ func (c *Config) applyEngine(opt *experiment.SweepOptions) error {
 			return fmt.Errorf("-bound and -ctl are state-space metrics and need -engine reach")
 		}
 		if c.Store != "" || c.SpillBudget != 0 || c.SpillDir != "" {
-			// The timed graph interns whole states, not markings; the
-			// marking store (and so the spill machinery) never runs here.
+			// The timed graph keeps its rows in the in-memory store:
+			// spill blocks cannot frame a timed row's timers.
 			return fmt.Errorf("-store, -spill-budget and -spill-dir shape the reach marking store and\nneed -engine reach")
 		}
 		if opt.Adaptive != nil {

@@ -125,6 +125,8 @@ func FuzzSpec(f *testing.F) {
 		`{"model":"-reps","seed":-5,"axes":["-x"],"throughput":["-horizon"]}`,
 		`{"engine":"sim+analytic","throughput":["Issue"]}`,
 		`{"reps":-1,"throughput":["Issue"]}`,
+		`{"model":"cache","axes":["DHitRatio=0:999999:1,0:999999:1,0:999999:1,0:999999:1,0:999999:1,0:999999:1,0:999999:1,0:999999:1"],"throughput":["Issue"]}`,
+		`{"model":"cache","axes":["DHitRatio=0:65535:1","IHitRatio=0:65535:1","MemoryCycles=0:65535:1","HitCycles=0:65535:1"],"throughput":["Issue"]}`,
 	} {
 		f.Add([]byte(s))
 	}

@@ -3,6 +3,7 @@ package sweepcli
 import (
 	"flag"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/experiment"
@@ -209,6 +210,23 @@ func TestSpecErrors(t *testing.T) {
 	for name, spec := range cases {
 		if _, _, err := spec.Resolve(); err == nil {
 			t.Errorf("%s: Resolve accepted an invalid spec", name)
+		}
+	}
+}
+
+// TestSpecRejectsOverflowingGrid: a grid whose point count (four axes
+// of 2^16 values: 2^64 points) or cell count (three such axes times
+// 2^16 replications) wraps int must fail Resolve, not come back as a
+// small or empty grid a server's cell cap would admit.
+func TestSpecRejectsOverflowingGrid(t *testing.T) {
+	axes := []string{"DHitRatio=0:65535:1", "IHitRatio=0:65535:1", "MemoryCycles=0:65535:1", "HitCycles=0:65535:1"}
+	for name, spec := range map[string]Spec{
+		"points": {Model: "cache", Axes: axes, Throughput: []string{"Issue"}},
+		"cells":  {Model: "cache", Axes: axes[:3], Reps: 1 << 16, Throughput: []string{"Issue"}},
+	} {
+		opt, _, err := spec.Resolve()
+		if err == nil || !strings.Contains(err.Error(), "overflow") {
+			t.Errorf("%s: Resolve = %d points, %d cells, err %v; want an overflow error", name, opt.NumPoints(), opt.NumCells(), err)
 		}
 	}
 }
