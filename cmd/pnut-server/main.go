@@ -69,6 +69,7 @@ func main() {
 	procs := flag.Int("procs", 4, "worker processes per job with -worker-cmd")
 	maxBody := flag.Int64("max-body", 1<<20, "largest accepted job spec in bytes")
 	maxCells := flag.Int("max-cells", 1_000_000, "largest accepted grid in (point, replication) cells")
+	maxStates := flag.Int("max-states", 1_000_000, "largest accepted state-space cap per grid point for reach and analytic jobs")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "how long a drain waits for running jobs before canceling them")
 	verbose := flag.Bool("v", false, "log job lifecycle and coordinator progress to stderr")
 	flag.Parse()
@@ -91,6 +92,7 @@ func main() {
 		Procs:      *procs,
 		MaxBody:    *maxBody,
 		MaxCells:   *maxCells,
+		MaxStates:  *maxStates,
 		Log:        logw,
 	})
 	srv.Start()

@@ -2,7 +2,6 @@ package analytic
 
 import (
 	"cmp"
-	"container/heap"
 	"context"
 	"fmt"
 	"slices"
@@ -334,18 +333,18 @@ func (s *solver) reduce(red *reduction, lo, hi, keep int) error {
 	for k := int32(lo); k < int32(hi); k++ {
 		h = append(h, cand{score(k), k})
 	}
-	heap.Init(&h)
+	h.init()
 	// Entries are never updated in place: a state re-enters the heap
 	// when its degrees change, and stale entries are skipped.
 	rescore := func(k int32) {
 		if int(k) >= lo && int(k) < hi && !red.gone[k] {
-			heap.Push(&h, cand{score(k), k})
+			h.push(cand{score(k), k})
 		}
 	}
 	for left := hi - lo; left > keep; left-- {
-		c := heap.Pop(&h).(cand)
+		c := h.pop()
 		for red.gone[c.k] || c.score != score(c.k) {
-			c = heap.Pop(&h).(cand)
+			c = h.pop()
 		}
 		if s.elims%1024 == 0 {
 			if err := s.ctx.Err(); err != nil {
@@ -438,18 +437,60 @@ type cand struct {
 	k     int32
 }
 
-// candHeap orders candidates by score, then state id.
+// candHeap is a binary min-heap of candidates ordered by score, then
+// state id. It is typed rather than a container/heap, which would box
+// every pushed and popped cand.
 type candHeap []cand
 
-func (h candHeap) Len() int { return len(h) }
-func (h candHeap) Less(i, j int) bool {
-	return h[i].score < h[j].score || h[i].score == h[j].score && h[i].k < h[j].k
+func (c cand) less(d cand) bool {
+	return c.score < d.score || c.score == d.score && c.k < d.k
 }
-func (h candHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x any)   { *h = append(*h, x.(cand)) }
-func (h *candHeap) Pop() any {
-	old := *h
-	c := old[len(old)-1]
-	*h = old[:len(old)-1]
+
+// init establishes the heap order over the whole slice.
+func (h candHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *candHeap) push(c cand) {
+	*h = append(*h, c)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !a[i].less(a[p]) {
+			break
+		}
+		a[i], a[p] = a[p], a[i]
+		i = p
+	}
+}
+
+// pop removes and returns the least candidate; h must not be empty.
+func (h *candHeap) pop() cand {
+	a := *h
+	c := a[0]
+	n := len(a) - 1
+	a[0] = a[n]
+	*h = a[:n]
+	h.down(0)
 	return c
+}
+
+func (h candHeap) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(h) && h[r].less(h[l]) {
+			m = r
+		}
+		if !h[m].less(h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

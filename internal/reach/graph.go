@@ -70,9 +70,13 @@ type Options struct {
 	SpillDir string
 }
 
+// DefaultMaxStates is the state-space cap a zero Options.MaxStates
+// resolves to.
+const DefaultMaxStates = 100_000
+
 func (o *Options) defaults() {
 	if o.MaxStates <= 0 {
-		o.MaxStates = 100_000
+		o.MaxStates = DefaultMaxStates
 	}
 	if o.BoundCap <= 0 {
 		o.BoundCap = 4096

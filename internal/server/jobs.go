@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/server/cache"
 	"repro/internal/sweepcli"
 )
 
@@ -20,21 +21,22 @@ const (
 	StateCanceled = "canceled"
 )
 
-// Job is one admitted sweep. The immutable identity fields are set at
-// creation; everything else is guarded by mu. The done channel closes
-// exactly once, when the job reaches a terminal state — result waiters
-// and the drain path block on it.
+// Job is one admitted sweep. It is split in two so that a finished
+// job costs little to retain: the status record (identity, state,
+// timestamps, progress, the result body) lives as long as the store
+// keeps the job, while run holds what only a queued or running job
+// needs — the spec, the resolved sweep, the pinned grid, the cancel
+// func and the SSE broker — and is released when the job reaches a
+// terminal state. Cache hits are born done and never have a run part.
+//
+// The identity fields are set at creation; everything else is guarded
+// by mu. The done channel closes exactly once, when the job reaches a
+// terminal state — result waiters and the drain path block on it.
 type Job struct {
 	ID     string
 	Key    string
-	Spec   sweepcli.Spec
 	Format string
-	Model  sweepcli.ModelInfo
-
-	// opt is the resolved sweep (shared by the runner and the dist
-	// path); meta pins the expanded grid for worker dispatch.
-	opt  experiment.SweepOptions
-	meta experiment.CellMeta
+	Model  string
 
 	mu          sync.Mutex
 	state       string
@@ -42,17 +44,35 @@ type Job struct {
 	body        []byte
 	contentType string
 	cacheHit    bool
+	dropped     bool // the store released body; the result comes from the cache
 	created     time.Time
 	started     time.Time
 	finished    time.Time
 	cellsDone   int
 	cellsTotal  int
 	events      int64
-	cancel      context.CancelFunc
+	run         *jobRun
 
 	done chan struct{}
-	sse  *broker
 }
+
+// jobRun is the part of a job needed only until it is terminal.
+type jobRun struct {
+	spec sweepcli.Spec
+	// opt is the resolved sweep (shared by the runner and the dist
+	// path); meta pins the expanded grid for worker dispatch.
+	opt    experiment.SweepOptions
+	meta   experiment.CellMeta
+	cancel context.CancelFunc
+	sse    *broker
+}
+
+// closedDone is the done channel of every job born terminal.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // JobView is the JSON shape of a job in API responses.
 type JobView struct {
@@ -74,20 +94,7 @@ type JobView struct {
 func (j *Job) View() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	v := JobView{
-		ID:         j.ID,
-		State:      j.state,
-		Model:      j.Model.Name,
-		Format:     j.Format,
-		Cache:      "miss",
-		CellsDone:  j.cellsDone,
-		CellsTotal: j.cellsTotal,
-		Events:     j.events,
-		Error:      j.err,
-	}
-	if j.cacheHit {
-		v.Cache = "hit"
-	}
+	v := j.viewLocked()
 	stamp := func(t time.Time) string {
 		if t.IsZero() {
 			return ""
@@ -118,8 +125,8 @@ func (j *Job) claimRunning(cancel context.CancelFunc) bool {
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	j.cancel = cancel
-	j.sse.publish(sseEvent{name: "state", data: mustJSON(j.viewLocked())})
+	j.run.cancel = cancel
+	j.run.sse.publish(sseEvent{name: "state", data: mustJSON(j.viewLocked())})
 	return true
 }
 
@@ -128,7 +135,9 @@ func (j *Job) progress(done, total int) {
 	j.mu.Lock()
 	j.cellsDone, j.cellsTotal = done, total
 	j.mu.Unlock()
-	j.sse.publish(sseEvent{name: "progress", data: fmt.Sprintf(`{"cellsDone":%d,"cellsTotal":%d}`, done, total)})
+	if sse := j.broker(); sse != nil {
+		sse.publish(sseEvent{name: "progress", data: fmt.Sprintf(`{"cellsDone":%d,"cellsTotal":%d}`, done, total)})
+	}
 }
 
 // terminalLocked reports whether the job has reached a final state.
@@ -137,21 +146,24 @@ func (j *Job) terminalLocked() bool {
 }
 
 // completeLocked records the terminal transition (j.mu held, state not
-// yet terminal) and returns the SSE event to publish after unlocking.
-func (j *Job) completeLocked(state string, body []byte, contentType, errMsg string, events int64) sseEvent {
+// yet terminal), releases the run part and returns the broker and the
+// SSE event to publish after unlocking.
+func (j *Job) completeLocked(state string, body []byte, contentType, errMsg string, events int64) (*broker, sseEvent) {
 	j.state = state
 	j.body, j.contentType = body, contentType
 	j.err = errMsg
 	j.events += events
 	j.finished = time.Now()
-	return sseEvent{name: "state", data: mustJSON(j.viewLocked())}
+	sse := j.run.sse
+	j.run = nil
+	return sse, sseEvent{name: "state", data: mustJSON(j.viewLocked())}
 }
 
 // seal publishes the terminal event and wakes all waiters. Must be
 // called exactly once, after completeLocked, outside j.mu.
-func (j *Job) seal(ev sseEvent) {
-	j.sse.publish(ev)
-	j.sse.close()
+func (j *Job) seal(sse *broker, ev sseEvent) {
+	sse.publish(ev)
+	sse.close()
 	close(j.done)
 }
 
@@ -163,9 +175,9 @@ func (j *Job) finish(state string, body []byte, contentType, errMsg string, even
 		j.mu.Unlock()
 		return false
 	}
-	ev := j.completeLocked(state, body, contentType, errMsg, events)
+	sse, ev := j.completeLocked(state, body, contentType, errMsg, events)
 	j.mu.Unlock()
-	j.seal(ev)
+	j.seal(sse, ev)
 	return true
 }
 
@@ -178,33 +190,27 @@ func (j *Job) finish(state string, body []byte, contentType, errMsg string, even
 func (j *Job) requestCancel() (terminal, signaled bool) {
 	j.mu.Lock()
 	if j.state == StateQueued {
-		ev := j.completeLocked(StateCanceled, nil, "", "canceled before start", 0)
+		sse, ev := j.completeLocked(StateCanceled, nil, "", "canceled before start", 0)
 		j.mu.Unlock()
-		j.seal(ev)
+		j.seal(sse, ev)
 		return true, true
 	}
-	cancel, running := j.cancel, j.state == StateRunning
+	var cancel context.CancelFunc
+	if j.state == StateRunning {
+		cancel = j.run.cancel
+	}
 	j.mu.Unlock()
-	if running && cancel != nil {
+	if cancel != nil {
 		cancel()
 		return false, true
 	}
 	return false, false
 }
 
-// fulfillFromCache completes a freshly-created job with a cached body.
-func (j *Job) fulfillFromCache(contentType string, body []byte) {
-	j.mu.Lock()
-	j.cacheHit = true
-	ev := j.completeLocked(StateDone, body, contentType, "", 0)
-	j.mu.Unlock()
-	j.seal(ev)
-}
-
-// viewLocked is View with j.mu already held.
+// viewLocked is View without the timestamps, with j.mu already held.
 func (j *Job) viewLocked() JobView {
 	v := JobView{
-		ID: j.ID, State: j.state, Model: j.Model.Name, Format: j.Format,
+		ID: j.ID, State: j.state, Model: j.Model, Format: j.Format,
 		Cache: "miss", CellsDone: j.cellsDone, CellsTotal: j.cellsTotal,
 		Events: j.events, Error: j.err,
 	}
@@ -214,50 +220,153 @@ func (j *Job) viewLocked() JobView {
 	return v
 }
 
-// Result returns the terminal body; ok is false until the job is done.
-func (j *Job) Result() (body []byte, contentType string, cacheHit bool, ok bool) {
+// Result returns the terminal body; ok is false until the job is done,
+// and dropped is true once the store has released a done job's body.
+func (j *Job) Result() (body []byte, contentType string, cacheHit, ok, dropped bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateDone {
-		return nil, "", false, false
+		return nil, "", false, false, false
 	}
-	return j.body, j.contentType, j.cacheHit, true
+	return j.body, j.contentType, j.cacheHit, true, j.dropped
 }
+
+// runPart returns the job's run part: non-nil while the job is queued
+// or running, so always for the runner that claimed it.
+func (j *Job) runPart() *jobRun {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.run
+}
+
+// broker returns the job's SSE broker, nil once the job is terminal.
+func (j *Job) broker() *broker {
+	if run := j.runPart(); run != nil {
+		return run.sse
+	}
+	return nil
+}
+
+// bodyLen is the size of the body the job holds.
+func (j *Job) bodyLen() int64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return int64(len(j.body))
+}
+
+// dropBody releases a finished job's body and returns its size.
+func (j *Job) dropBody() int64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	n := int64(len(j.body))
+	if j.body != nil {
+		j.body, j.dropped = nil, true
+	}
+	return n
+}
+
+// Retention limits for finished jobs. The store keeps at most
+// retainJobs finished records, evicting the oldest finished first, and
+// at most retainBodyBytes of result bodies pinned by them, dropping the
+// oldest bodies first; a dropped body is served from the result cache
+// by the job's key. Queued and running jobs, and the job that has just
+// finished, are never evicted and keep their body.
+const (
+	retainJobs      = 1024
+	retainBodyBytes = 64 << 20
+)
 
 // jobStore tracks jobs by ID in admission order.
 type jobStore struct {
 	mu   sync.Mutex
 	seq  int
 	jobs map[string]*Job
-	ids  []string
+	// ids is the admission order; it may still hold IDs no longer in
+	// jobs, until compactLocked drops them.
+	ids []string
+	// finished holds the retained terminal jobs, oldest first; the
+	// bodies of finished[:dropped] are released, and bodyBytes sums
+	// the bodies of the rest.
+	finished  []*Job
+	dropped   int
+	bodyBytes int64
+
+	maxFinished  int
+	maxBodyBytes int64
 }
 
 func newJobStore() *jobStore {
-	return &jobStore{jobs: make(map[string]*Job)}
+	return &jobStore{jobs: make(map[string]*Job), maxFinished: retainJobs, maxBodyBytes: retainBodyBytes}
 }
 
-// add creates and registers a job in the given initial state.
+// add creates and registers a queued job.
 func (st *jobStore) add(spec sweepcli.Spec, format string, opt experiment.SweepOptions, meta experiment.CellMeta, info sweepcli.ModelInfo, key string) *Job {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.seq++
-	j := &Job{
-		ID:         fmt.Sprintf("j%06d", st.seq),
+	return st.register(&Job{
 		Key:        key,
-		Spec:       spec,
 		Format:     format,
-		Model:      info,
-		opt:        opt,
-		meta:       meta,
+		Model:      info.Name,
 		state:      StateQueued,
 		created:    time.Now(),
 		cellsTotal: opt.NumCells(),
+		run:        &jobRun{spec: spec, opt: opt, meta: meta, sse: newBroker()},
 		done:       make(chan struct{}),
-		sse:        newBroker(),
-	}
+	})
+}
+
+// addHit registers a job born done with a cached body. The caller
+// retires it.
+func (st *jobStore) addHit(format string, cells int, info sweepcli.ModelInfo, key string, ent cache.Entry) *Job {
+	now := time.Now()
+	return st.register(&Job{
+		Key:         key,
+		Format:      format,
+		Model:       info.Name,
+		state:       StateDone,
+		body:        ent.Body,
+		contentType: ent.ContentType,
+		cacheHit:    true,
+		created:     now,
+		finished:    now,
+		cellsTotal:  cells,
+		done:        closedDone,
+	})
+}
+
+func (st *jobStore) register(j *Job) *Job {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.seq++
+	j.ID = fmt.Sprintf("j%06d", st.seq)
 	st.jobs[j.ID] = j
 	st.ids = append(st.ids, j.ID)
 	return j
+}
+
+// retire enters a job that has just reached a terminal state into the
+// retention limits and returns how many finished jobs it evicted.
+func (st *jobStore) retire(j *Job) (evicted int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.finished = append(st.finished, j)
+	st.bodyBytes += j.bodyLen()
+	for len(st.finished) > st.maxFinished {
+		old := st.finished[0]
+		st.finished[0] = nil
+		st.finished = st.finished[1:]
+		if st.dropped > 0 {
+			st.dropped--
+		} else {
+			st.bodyBytes -= old.bodyLen()
+		}
+		delete(st.jobs, old.ID)
+		evicted++
+	}
+	for st.bodyBytes > st.maxBodyBytes && st.dropped < len(st.finished)-1 {
+		st.bodyBytes -= st.finished[st.dropped].dropBody()
+		st.dropped++
+	}
+	st.compactLocked()
+	return evicted
 }
 
 // remove forgets a job that was never admitted (queue rejection after
@@ -266,12 +375,23 @@ func (st *jobStore) remove(id string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	delete(st.jobs, id)
-	for i, x := range st.ids {
-		if x == id {
-			st.ids = append(st.ids[:i], st.ids[i+1:]...)
-			break
+	st.compactLocked()
+}
+
+// compactLocked drops forgotten IDs from the admission order once they
+// make up most of it, so ids stays proportional to the retained jobs.
+func (st *jobStore) compactLocked() {
+	if len(st.ids) < 2*len(st.jobs)+64 {
+		return
+	}
+	kept := st.ids[:0]
+	for _, id := range st.ids {
+		if _, ok := st.jobs[id]; ok {
+			kept = append(kept, id)
 		}
 	}
+	clear(st.ids[len(kept):])
+	st.ids = kept
 }
 
 // get looks a job up by ID.
@@ -282,13 +402,15 @@ func (st *jobStore) get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// list snapshots all jobs in admission order.
+// list snapshots the retained jobs in admission order.
 func (st *jobStore) list() []*Job {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]*Job, 0, len(st.ids))
+	out := make([]*Job, 0, len(st.jobs))
 	for _, id := range st.ids {
-		out = append(out, st.jobs[id])
+		if j, ok := st.jobs[id]; ok {
+			out = append(out, j)
+		}
 	}
 	return out
 }

@@ -18,6 +18,7 @@ type counters struct {
 	rejectedDraining atomic.Int64 // 503: submitted during drain
 	simEvents        atomic.Int64 // transition firings across all completed jobs
 	cellsDone        atomic.Int64 // sweep cells completed across all jobs
+	evicted          atomic.Int64 // finished jobs the store forgot to stay within its limits
 }
 
 // metricsView is the JSON shape of GET /metrics.
@@ -39,6 +40,7 @@ type metricsView struct {
 		Submitted int64 `json:"submitted"`
 		Completed int64 `json:"completed"`
 		Joined    int64 `json:"joined"`
+		Evicted   int64 `json:"evicted"`
 	} `json:"jobs"`
 
 	Cache struct {

@@ -16,7 +16,7 @@
 //
 //	POST   /v1/jobs            submit a spec (JSON body); ?wait=1 blocks
 //	                           and responds with the result body itself
-//	GET    /v1/jobs            list jobs
+//	GET    /v1/jobs            list retained jobs
 //	GET    /v1/jobs/{id}        job status JSON
 //	DELETE /v1/jobs/{id}        cancel (queued: immediate; running: ctx)
 //	GET    /v1/jobs/{id}/result rendered result; ?wait=1 blocks
@@ -47,6 +47,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/experiment"
+	"repro/internal/reach"
 	"repro/internal/server/cache"
 	"repro/internal/sweepcli"
 )
@@ -74,9 +75,12 @@ type Config struct {
 	WorkerCmd string
 	Procs     int
 	// MaxBody bounds a submission body (default 1 MiB); MaxCells bounds
-	// a job's grid (default 1_000_000 cells).
-	MaxBody  int64
-	MaxCells int
+	// a job's grid (default 1_000_000 cells); MaxStates bounds the
+	// state space a reach or analytic job may explore per grid point
+	// (default 1_000_000 states).
+	MaxBody   int64
+	MaxCells  int
+	MaxStates int
 	// Log, when non-nil, receives server and coordinator progress lines.
 	Log io.Writer
 }
@@ -121,6 +125,9 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxCells < 1 {
 		cfg.MaxCells = 1_000_000
+	}
+	if cfg.MaxStates < 1 {
+		cfg.MaxStates = 1_000_000
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -195,7 +202,7 @@ func (s *Server) runner() {
 			cancel()
 			continue
 		}
-		s.logf("server: job %s running (%s, %d cells)", j.ID, j.Model.Name, j.cellsTotal)
+		s.logf("server: job %s running (%s, %d cells)", j.ID, j.Model, j.cellsTotal)
 		body, contentType, events, err := s.runFn(ctx, j)
 		canceled := ctx.Err() != nil
 		cancel()
@@ -219,6 +226,7 @@ func (s *Server) runner() {
 			s.logf("server: job %s failed: %v", j.ID, err)
 		}
 		s.inflightRemove(j)
+		s.retire(j)
 	}
 }
 
@@ -227,7 +235,8 @@ func (s *Server) runner() {
 // Progress flows through the engine's OnCell hook (in-process) or the
 // coordinator's emit stream (distributed) into the job's SSE broker.
 func (s *Server) runSweep(ctx context.Context, j *Job) ([]byte, string, int64, error) {
-	opt := j.opt
+	run := j.runPart()
+	opt := run.opt
 	if opt.Workers == 0 {
 		opt.Workers = s.cfg.Workers
 	}
@@ -242,7 +251,7 @@ func (s *Server) runSweep(ctx context.Context, j *Job) ([]byte, string, int64, e
 		err error
 	)
 	if s.cfg.WorkerCmd != "" {
-		r, err = s.runDist(ctx, j, opt, onCell)
+		r, err = s.runDist(ctx, run, opt, onCell)
 	} else {
 		opt.OnCell = func(experiment.Point, int) { onCell() }
 		r, err = experiment.Sweep(ctx, opt)
@@ -261,14 +270,14 @@ func (s *Server) runSweep(ctx context.Context, j *Job) ([]byte, string, int64, e
 // worker command gets the job's own sweep flags (the same rendering
 // Resolve parsed), plus a temp -net file when the model was inline
 // source; the coordinator appends the per-span -cells/-emit flags.
-func (s *Server) runDist(ctx context.Context, j *Job, opt experiment.SweepOptions, onCell func()) (*experiment.SweepResult, error) {
-	argv := append(strings.Fields(s.cfg.WorkerCmd), j.Spec.Flags()...)
-	if j.Spec.Net != "" {
+func (s *Server) runDist(ctx context.Context, run *jobRun, opt experiment.SweepOptions, onCell func()) (*experiment.SweepResult, error) {
+	argv := append(strings.Fields(s.cfg.WorkerCmd), run.spec.Flags()...)
+	if run.spec.Net != "" {
 		f, err := os.CreateTemp("", "pnut-server-*.pn")
 		if err != nil {
 			return nil, fmt.Errorf("staging inline net: %w", err)
 		}
-		if _, err := f.WriteString(j.Spec.Net); err != nil {
+		if _, err := f.WriteString(run.spec.Net); err != nil {
 			f.Close()
 			os.Remove(f.Name())
 			return nil, fmt.Errorf("staging inline net: %w", err)
@@ -277,7 +286,7 @@ func (s *Server) runDist(ctx context.Context, j *Job, opt experiment.SweepOption
 		defer os.Remove(f.Name())
 		argv = append(argv, "-net", f.Name())
 	}
-	meta := j.meta
+	meta := run.meta
 	base, err := dist.NewExecRunner(argv, &meta, s.cfg.Log)
 	if err != nil {
 		return nil, err
@@ -346,6 +355,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return
 	}
+	if spec.SpillDir != "" {
+		// A client must not pick where the daemon writes: spill files
+		// go to the server's temp dir.
+		httpError(w, http.StatusBadRequest, "spillDir is not accepted by the server; spill files go to its temp dir")
+		return
+	}
 	format, err := normalizeFormat(spec.Format)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -363,11 +378,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	meta := experiment.MetaOf(opt, info.Name)
+	if meta.Engine != "" {
+		states := meta.MaxStates
+		if states <= 0 {
+			states = reach.DefaultMaxStates
+		}
+		if states > s.cfg.MaxStates {
+			httpError(w, http.StatusBadRequest,
+				fmt.Sprintf("maxStates of %d exceeds the server cap of %d", states, s.cfg.MaxStates))
+			return
+		}
+	}
 	key := cache.Key(info.Digest, meta, format)
 
 	if ent, ok := s.cache.Get(key); ok {
-		j := s.store.add(spec, format, opt, meta, info, key)
-		j.fulfillFromCache(ent.ContentType, ent.Body)
+		j := s.store.addHit(format, opt.NumCells(), info, key, ent)
+		s.retire(j)
 		s.ctr.submitted.Add(1)
 		s.ctr.cacheServed.Add(1)
 		s.ctr.completed.Add(1)
@@ -465,12 +491,15 @@ func (s *Server) cancelJob(j *Job) {
 	if terminal {
 		s.ctr.canceled.Add(1)
 		s.inflightRemove(j)
+		s.retire(j)
 	}
 }
 
-// writeResult serves a job's terminal result body.
+// writeResult serves a job's terminal result body. A done job whose
+// body the store dropped is served from the result cache by its key,
+// or answered 410 when the cache no longer holds it.
 func (s *Server) writeResult(w http.ResponseWriter, j *Job) {
-	body, contentType, cacheHit, ok := j.Result()
+	body, contentType, cacheHit, ok, dropped := j.Result()
 	if !ok {
 		switch j.State() {
 		case StateFailed:
@@ -481,6 +510,14 @@ func (s *Server) writeResult(w http.ResponseWriter, j *Job) {
 			httpError(w, http.StatusConflict, "job not finished; poll status, stream /events or use ?wait=1")
 		}
 		return
+	}
+	if dropped {
+		ent, hit := s.cache.Get(j.Key)
+		if !hit {
+			httpError(w, http.StatusGone, "result no longer retained; resubmit the spec")
+			return
+		}
+		body, contentType = ent.Body, ent.ContentType
 	}
 	if cacheHit {
 		w.Header().Set("X-Pnut-Cache", "hit")
@@ -507,12 +544,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data)
 		fl.Flush()
 	}
-	ch, closed := j.sse.subscribe()
+	var ch chan sseEvent
+	sse, closed := j.broker(), true
+	if sse != nil {
+		ch, closed = sse.subscribe()
+	}
 	emit(sseEvent{name: "state", data: mustJSON(j.View())})
 	if closed {
 		return
 	}
-	defer j.sse.unsubscribe(ch)
+	defer sse.unsubscribe(ch)
 	for {
 		select {
 		case <-r.Context().Done():
@@ -550,6 +591,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m.Jobs.Submitted = s.ctr.submitted.Load()
 	m.Jobs.Completed = s.ctr.completed.Load()
 	m.Jobs.Joined = s.ctr.joined.Load()
+	m.Jobs.Evicted = s.ctr.evicted.Load()
 	hits, misses, entries, bytes := s.cache.Stats()
 	m.Cache.Hits, m.Cache.Misses = hits, misses
 	if total := hits + misses; total > 0 {
@@ -569,6 +611,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // ---- helpers ----
+
+// retire hands a job that has just reached a terminal state to the
+// store's retention limits.
+func (s *Server) retire(j *Job) {
+	s.ctr.evicted.Add(int64(s.store.retire(j)))
+}
 
 func (s *Server) inflightRemove(j *Job) {
 	s.mu.Lock()

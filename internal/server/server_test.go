@@ -205,7 +205,8 @@ func TestStoreSharesCacheEntry(t *testing.T) {
 		}
 		bodies[i].ReadFrom(resp.Body)
 		resp.Body.Close()
-		spec.Store, spec.SpillBudget, spec.SpillDir = "spill", 1024, t.TempDir()
+		spec.Store, spec.SpillBudget = "spill", 1024
+		t.Setenv("TMPDIR", t.TempDir())
 	}
 	if !bytes.Equal(bodies[0].Bytes(), bodies[1].Bytes()) {
 		t.Fatalf("spill reply differs from mem reply:\n%s\nvs\n%s", bodies[1].String(), bodies[0].String())
@@ -526,8 +527,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // far beyond what the test could ever explore, so only cancellation
 // can end the job; the spill store's temp file must be gone afterwards.
 func TestCancelInterruptsReachBuild(t *testing.T) {
-	s, ts := newTestServer(t, Config{RunJobs: 1, QueueDepth: 1, Workers: 1})
+	s, ts := newTestServer(t, Config{RunJobs: 1, QueueDepth: 1, Workers: 1, MaxStates: 30_000_000})
 	spillDir := t.TempDir()
+	t.Setenv("TMPDIR", spillDir)
 	spec := sweepcli.Spec{
 		Net: `net unbounded_branch
 place src init 1
@@ -544,7 +546,6 @@ trans grow_b
 		MaxStates:   30_000_000,
 		Store:       "spill",
 		SpillBudget: 1 << 16,
-		SpillDir:    spillDir,
 	}
 	r := decodeJob(t, submit(t, ts, spec, "", nil))
 	j, ok := s.store.get(r.ID)
