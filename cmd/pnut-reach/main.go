@@ -5,11 +5,11 @@
 // answer for nets without inhibitor arcs.
 //
 // The state-space flags are the shared sweepcli group: -max-states,
-// -bound-cap, -explore-shards, and the spill-store knobs -store,
-// -spill-budget, -spill-dir, which let an exploration larger than RAM
-// complete by spilling marking blocks to a temp file (untimed graphs
-// only). -check and -invariant apply to either graph. Ctrl-C cancels a
-// running build cleanly at the next window barrier.
+// -bound-cap, -explore-shards, and -spill-budget with -spill-dir, which
+// let an exploration larger than RAM complete by spilling blocks of
+// rows to a temp file, for either graph. -check and -invariant apply
+// to either graph. Ctrl-C cancels a running build cleanly at the next
+// window barrier.
 //
 //	pnut-reach -net mutex.pn -check 'AG({crit_a + crit_b <= 1})' \
 //	           -invariant 'lock=1,crit_a=1,crit_b=1'
@@ -64,9 +64,6 @@ func main() {
 		fatal(err)
 	}
 	opt := ef.ReachOptions()
-	if err := opt.CheckStore(); err != nil {
-		fatal(err)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -91,7 +88,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if opt.StoreName() == reach.StoreSpill {
+	if opt.SpillBudget > 0 {
 		fmt.Fprintf(os.Stderr, "pnut-reach: store spill: %d bytes encoded, %d spilled to disk\n",
 			g.StoreBytes(), g.SpilledBytes())
 	}

@@ -55,12 +55,18 @@ type Options = reach.Options
 // comment). ctx covers both phases: the parallel reach.BuildTimed
 // checks it at every window barrier, the solve every 1024 state
 // eliminations. The figures are bit-identical across runs, GOMAXPROCS
-// values and opt.Shards.
-func Evaluate(ctx context.Context, net *petri.Net, opt Options) (*Result, error) {
+// values, opt.Shards and opt.SpillBudget. Close the result when done:
+// with a spill budget its graph holds a temp file.
+func Evaluate(ctx context.Context, net *petri.Net, opt Options) (r *Result, err error) {
 	g, err := reach.BuildTimed(ctx, net, opt)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			g.Close()
+		}
+	}()
 	if g.Truncated {
 		cap := opt.MaxStates
 		if cap <= 0 {
@@ -82,7 +88,7 @@ func Evaluate(ctx context.Context, net *petri.Net, opt Options) (*Result, error)
 	}
 	// Time-stationary distribution.
 	n := len(g.Nodes)
-	r := &Result{States: n, net: net, graph: g, pi: pi}
+	r = &Result{States: n, net: net, graph: g, pi: pi}
 	var norm float64
 	r.timeShare = make([]float64, n)
 	for i := range pi {
@@ -98,6 +104,10 @@ func Evaluate(ctx context.Context, net *petri.Net, opt Options) (*Result, error)
 	r.MeanSojourn = norm
 	return r, nil
 }
+
+// Close releases the timed graph's spill temp file, if any. The result
+// must not be used afterwards.
+func (r *Result) Close() error { return r.graph.Close() }
 
 // Utilization returns the time-stationary expected token count of a
 // place — the analytic counterpart of the stat tool's "avg tokens".

@@ -23,8 +23,8 @@ import (
 type AnalyticBackend struct {
 	// Opt carries the state-space controls. MaxStates pins the grid and
 	// enters the cell-stream meta (a truncated timed graph is an error,
-	// not a lower bound); Shards is the timed build's exploration
-	// parallelism and never affects results.
+	// not a lower bound); Shards/SpillBudget/SpillDir only shape the
+	// timed build's execution and never affect results.
 	Opt reach.Options
 }
 
@@ -78,6 +78,7 @@ func (w *analyticWorker) RunCell(ctx context.Context, in CellInput) (CellOutcome
 	if err != nil {
 		return CellOutcome{}, err
 	}
+	defer r.Close()
 	out := CellOutcome{
 		Values: make([]float64, len(w.evals)),
 		Stats:  stats.New(in.Header),

@@ -17,13 +17,13 @@ import (
 )
 
 // ReachBackend is the exhaustive reachability engine. The zero value
-// uses the reach package defaults (100k states, bound cap 4096,
-// in-memory store, GOMAXPROCS exploration).
+// uses the reach package defaults (100k states, bound cap 4096, every
+// row in memory, GOMAXPROCS exploration).
 type ReachBackend struct {
 	// Opt carries the full state-space controls. MaxStates and
-	// BoundCap pin the grid and enter the cell-stream meta; the store
-	// selection and Shards/SpillBudget/SpillDir only shape execution
-	// (graphs are bit-identical for any value).
+	// BoundCap pin the grid and enter the cell-stream meta;
+	// Shards/SpillBudget/SpillDir only shape execution (graphs are
+	// bit-identical for any value).
 	Opt reach.Options
 }
 
@@ -40,9 +40,6 @@ func (b ReachBackend) StatePins() (maxStates, boundCap int) { return b.Opt.MaxSt
 // a misspelled metric or malformed CTL formula fails validation, not a
 // worker mid-sweep.
 func (b ReachBackend) NewWorker(opt *SweepOptions) (BackendWorker, error) {
-	if err := b.Opt.CheckStore(); err != nil {
-		return nil, err
-	}
 	evals := make([]func(*reach.Graph) (float64, error), len(opt.Metrics))
 	for i := range opt.Metrics {
 		eval, err := reachEval(opt.Metrics[i].Name)

@@ -214,12 +214,12 @@ func TestCellMetaEngine(t *testing.T) {
 		t.Error("reach grid compared equal to sim grid")
 	}
 
-	// Stores are bit-identical by contract, so the store selection is
-	// not part of the grid: mem and spill metas compare equal and encode
-	// to the same bytes, which is what the server's cache key hashes
-	// (package cache imports this one, so the key itself is checked by
-	// the server tests).
-	opt.Backend = ReachBackend{Opt: reach.Options{MaxStates: 777, BoundCap: 33, Store: reach.StoreSpill, SpillBudget: 1024}}
+	// Graphs are bit-identical for every spill budget by contract, so
+	// the budget is not part of the grid: mem and spill metas compare
+	// equal and encode to the same bytes, which is what the server's
+	// cache key hashes (package cache imports this one, so the key
+	// itself is checked by the server tests).
+	opt.Backend = ReachBackend{Opt: reach.Options{MaxStates: 777, BoundCap: 33, SpillBudget: 1024}}
 	spillMeta := MetaOf(opt, "m")
 	if !m.SameGrid(&spillMeta) {
 		t.Error("mem and spill store metas compared unequal")

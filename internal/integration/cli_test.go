@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -145,8 +146,9 @@ func TestCLIReachAndAnalytic(t *testing.T) {
 }
 
 // TestCLIReachTimedFlags: -invariant checks the timed graph as it does
-// the untimed one, and the spill store, whose blocks cannot frame timed
-// rows, is refused with an error naming it instead of being ignored.
+// the untimed one; a spill budget spills timed rows and leaves stdout
+// byte-identical to the in-memory run; a negative budget is a usage
+// error.
 func TestCLIReachTimedFlags(t *testing.T) {
 	bins := buildTools(t, "pnut-reach")
 	mutex := testdataPath(t, "mutex.pn")
@@ -157,13 +159,24 @@ func TestCLIReachTimedFlags(t *testing.T) {
 			t.Errorf("pnut-reach -timed -invariant: output lacks %q:\n%s", want, out)
 		}
 	}
-	for _, store := range [][]string{{"-store", "spill"}, {"-spill-budget", "4096"}} {
-		cmd := exec.Command(bins["pnut-reach"], append([]string{"-net", mutex, "-timed"}, store...)...)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err == nil || !strings.Contains(stderr.String(), `"spill"`) {
-			t.Errorf("pnut-reach -timed %v: err %v, stderr %q; want a failure naming the spill store", store, err, stderr.String())
-		}
+	pipeline := testdataPath(t, "pipeline.pn")
+	mem := mustOutput(t, bins["pnut-reach"], "-net", pipeline, "-timed")
+	cmd := exec.Command(bins["pnut-reach"], "-net", pipeline, "-timed", "-spill-budget", "1024", "-spill-dir", t.TempDir())
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	spill, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("pnut-reach -timed -spill-budget 1024: %v\n%s", err, stderr.String())
+	}
+	if !bytes.Equal(spill, mem) {
+		t.Errorf("spilling timed run differs from the in-memory run:\n%s\nvs\n%s", spill, mem)
+	}
+	if !regexp.MustCompile(`store spill: \d+ bytes encoded, [1-9]\d* spilled`).MatchString(stderr.String()) {
+		t.Errorf("stderr shows no spilled bytes: %q", stderr.String())
+	}
+	err = exec.Command(bins["pnut-reach"], "-net", mutex, "-timed", "-spill-budget", "-1").Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Errorf("pnut-reach -spill-budget -1: err %v, want exit status 2", err)
 	}
 }
 

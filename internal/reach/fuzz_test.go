@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"testing"
 
@@ -76,9 +77,9 @@ func fuzzReachNet(data []byte) (*petri.Net, Options) {
 }
 
 // FuzzBuild extends the oracle property tests to arbitrary small plain
-// nets: Build at shards 1 and 3, with the in-memory and the spill
-// store, must reproduce the frozen serial oracle bit for bit, and
-// BuildTimed at shards 1 and 3 the timed oracle, node for node.
+// nets: Build at shards 1 and 3, in memory and with a 64-byte spill
+// budget, must reproduce the frozen serial oracle bit for bit, and
+// BuildTimed, the same way, the timed oracle, node for node.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 3, 40, 1, 0, 0x01, 0x02, 0, 0x02, 0x01, 0x85, 0x00, 0x41, 0x90})
@@ -86,21 +87,19 @@ func FuzzBuild(f *testing.F) {
 	f.Add([]byte{2, 2, 100, 0x83, 1, 0x42, 0x02, 0, 0x02, 0x01, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net, opt := fuzzReachNet(data)
+		opt.SpillDir = t.TempDir()
 		ctx := context.Background()
 		want, err := BuildSerial(ctx, net, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 3} {
-			for _, store := range []string{StoreMem, StoreSpill} {
+			for _, budget := range []int64{0, 64} {
 				o := opt
-				o.Shards, o.Store = shards, store
-				if store == StoreSpill {
-					o.SpillBudget, o.SpillDir = 64, t.TempDir()
-				}
+				o.Shards, o.SpillBudget = shards, budget
 				got, err := Build(ctx, net, o)
 				if err != nil {
-					t.Fatalf("shards=%d store=%s: %v", shards, store, err)
+					t.Fatalf("shards=%d budget=%d: %v", shards, budget, err)
 				}
 				graphsIdentical(t, want, got)
 				got.Close()
@@ -112,13 +111,16 @@ func FuzzBuild(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 3} {
-			o := opt
-			o.Shards = shards
-			got, err := BuildTimed(ctx, net, o)
-			if err != nil {
-				t.Fatalf("timed shards=%d: %v", shards, err)
+			for _, budget := range []int64{0, 64} {
+				o := opt
+				o.Shards, o.SpillBudget = shards, budget
+				got, err := BuildTimed(ctx, net, o)
+				if err != nil {
+					t.Fatalf("timed shards=%d budget=%d: %v", shards, budget, err)
+				}
+				timedGraphsIdentical(t, twant, got)
+				got.Close()
 			}
-			timedGraphsIdentical(t, twant, got)
 		}
 	})
 }
@@ -167,41 +169,51 @@ func FuzzParseFormula(f *testing.F) {
 	})
 }
 
-// FuzzSpillBlock hardens the spill store's block decoders the same way
+// FuzzSpillBlock hardens the row store's block decoders the same way
 // FuzzColReader hardens the columnar trace codec: a corrupt or
 // truncated spill frame (bit rot in the temp file) must error, never
-// panic, never loop forever, and every decoded row must carry in-range
-// indices and non-negative counts. A body the decoder accepts must also
-// be canonical — its row count and rows re-encode to exactly its bytes
-// — since the dedup compares rows byte for byte, and a row that
-// decodes to a known marking but differs from it would store a state
-// twice. The seed corpus holds a frame written by the real encoder,
-// with rows both one byte per place and wider, plus truncations, byte
-// flips and an overlong varint.
+// panic, never loop forever. Each input is decoded as a block of
+// untimed and of timed rows. A body the decoder accepts must be
+// canonical — its row count, row lengths and rows re-encode to exactly
+// its bytes — since the dedup compares rows byte for byte, and a row
+// that decodes to a known state but differs from it would store a state
+// twice; every row's marking must be in range and, in a timed row, its
+// timers must read back through walkTimers. The seed corpus holds
+// frames written by the real encoder, of untimed rows both one byte per
+// place and wider and of timed rows, plus truncations, byte flips and
+// an overlong varint.
 func FuzzSpillBlock(f *testing.F) {
 	const places = 5
-	// A genuine frame: fill one block through the production encoder
-	// with budget 0 so it seals and spills, then read the file back.
-	s := NewSpillStore(places, 0, f.TempDir())
-	m := make(petri.Marking, places)
-	for i := 0; i < spillBlockEntries; i++ {
-		m[i%places] = i * 3 % 17
-		if i == spillBlockEntries/2 {
-			m[i%places] = 300 // a wide row
+	// Genuine frames: fill one block through the production encoder
+	// with a 1-byte budget so it spills, then read the file back.
+	frame := func(timed bool) []byte {
+		s := newRowStore(places, timed, 1, f.TempDir())
+		s.Keep(math.MaxInt)
+		m := make(petri.Marking, places)
+		for i := 0; i < blockRows; i++ {
+			m[i%places] = i * 3 % 17
+			if i == blockRows/2 {
+				m[i%places] = 300 // a wide row
+			}
+			row := appendMarking(nil, m)
+			if timed {
+				row = append(row, byte(i%2), 3, byte(i), 1, 200, 2) // pending count, then (3, i) and (1, 328)
+			}
+			s.Add(row)
 		}
-		s.Add(appendMarking(nil, m))
+		if s.spilled == 0 {
+			f.Fatal("seed store never spilled")
+		}
+		valid, err := os.ReadFile(s.f.Name())
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			f.Fatal(err)
+		}
+		return valid[:s.spilled]
 	}
-	if s.SpilledBytes() == 0 {
-		f.Fatal("seed store never spilled")
-	}
-	valid, err := os.ReadFile(s.f.Name())
-	if err != nil {
-		f.Fatal(err)
-	}
-	valid = valid[:s.SpilledBytes()]
-	if err := s.Close(); err != nil {
-		f.Fatal(err)
-	}
+	valid := frame(false)
 	f.Add(valid)
 	for _, cut := range []int{0, 1, 2, len(valid) / 2, len(valid) - 1} {
 		f.Add(append([]byte(nil), valid[:cut]...))
@@ -216,45 +228,65 @@ func FuzzSpillBlock(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f})        // implausible body length
 	f.Add(append([]byte(nil), append(valid, 0x00)...)) // trailing byte
 	// One row whose first count is 0 written overlong (0x80 0x00).
-	f.Add([]byte{0x07, 0x01, 0x80, 0x00, 0x01, 0x02, 0x03, 0x04})
+	f.Add([]byte{0x08, 0x01, 0x06, 0x80, 0x00, 0x01, 0x02, 0x03, 0x04})
+	f.Add(frame(true))
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		body, err := decodeSpillFrame(frame)
+		body, err := decodeFrame(frame)
 		if err != nil {
 			return
 		}
-		last := -1
-		var again []byte
-		n, err := decodeSpillBody(body, places, func(i int, m petri.Marking, row []byte) bool {
-			if i != last+1 {
-				t.Fatalf("row index %d after %d", i, last)
+		for _, timed := range []bool{false, true} {
+			rows, ends, err := decodeBlock(body, places, timed, nil)
+			if err != nil {
+				continue
 			}
-			last = i
-			if len(m) != places {
-				t.Fatalf("row %d has %d places, want %d", i, len(m), places)
+			if n := len(ends); n < 1 || n > blockRows {
+				t.Fatalf("row count %d out of range", n)
 			}
-			for p, c := range m {
-				if c < 0 {
-					t.Fatalf("row %d place %d decoded negative count %d", i, p, c)
+			again := binary.AppendUvarint(nil, uint64(len(ends)))
+			start := 0
+			for _, e := range ends {
+				again = binary.AppendUvarint(again, uint64(e-start))
+				start = e
+			}
+			start = 0
+			m := make(petri.Marking, places)
+			for i, e := range ends {
+				row := rows[start:e]
+				start = e
+				readMarking(row, m)
+				for p, c := range m {
+					if c < 0 || c > maxSpillCount {
+						t.Fatalf("row %d place %d decoded count %d", i, p, c)
+					}
 				}
+				enc := appendMarking(nil, m)
+				if timed {
+					var pend, enab []timer
+					walkTimers(row, places, func(pending bool, tm timer) {
+						if tm.t < 0 || tm.left < 0 {
+							t.Fatalf("row %d: timer %+v out of range", i, tm)
+						}
+						if pending {
+							pend = append(pend, tm)
+						} else {
+							enab = append(enab, tm)
+						}
+					})
+					enc = binary.AppendUvarint(enc, uint64(len(pend)))
+					for _, tm := range append(pend, enab...) {
+						enc = binary.AppendUvarint(binary.AppendUvarint(enc, uint64(tm.t)), uint64(tm.left))
+					}
+				}
+				if !bytes.Equal(enc, row) {
+					t.Fatalf("timed=%v row %d: %x re-encodes to %x", timed, i, row, enc)
+				}
+				again = append(again, enc...)
 			}
-			if enc := appendMarking(nil, m); !bytes.Equal(enc, row) {
-				t.Fatalf("row %d: %x decodes to %v, which encodes to %x", i, row, m, enc)
+			if !bytes.Equal(again, body) {
+				t.Fatalf("timed=%v: accepted body %x re-encodes to %x", timed, body, again)
 			}
-			again = append(again, row...)
-			return true
-		})
-		if err != nil {
-			return
-		}
-		if n != last+1 {
-			t.Fatalf("count %d but %d rows decoded", n, last+1)
-		}
-		if n < 1 || n > spillBlockEntries {
-			t.Fatalf("row count %d out of range", n)
-		}
-		if again = append(binary.AppendUvarint(nil, uint64(n)), again...); !bytes.Equal(again, body) {
-			t.Fatalf("accepted body %x re-encodes to %x", body, again)
 		}
 	})
 }

@@ -14,10 +14,10 @@
 // contract: node ids, edge order, states and truncation flags are
 // bit-identical to a serial FIFO build for every shard count. The
 // serial builds are test oracles (oracle_test.go). Both return a Graph
-// whose states live in a StateStore as rows: a marking is one uvarint
-// per place (see store.go), and a timed state is its marking's row with
-// its timers appended (see timed.go). The build writes, hashes,
-// compares and stores that one encoding.
+// whose states live in its row store: a marking is one uvarint per
+// place (see store.go), and a timed state is its marking's row with its
+// timers appended (see timed.go). The build writes, hashes, compares
+// and stores that one encoding.
 package reach
 
 import (
@@ -34,12 +34,6 @@ import (
 	"repro/internal/petri"
 )
 
-// State store names for Options.Store.
-const (
-	StoreMem   = "mem"
-	StoreSpill = "spill"
-)
-
 // Options control graph construction.
 type Options struct {
 	// MaxStates caps the number of nodes explored (default 100 000).
@@ -54,19 +48,15 @@ type Options struct {
 	// order, flags — is bit-identical for every value; shards only
 	// change wall-clock time.
 	Shards int
-	// Store selects the marking store: StoreMem (the in-memory row
-	// store) or StoreSpill (framed blocks spilling to a temp file past
-	// SpillBudget bytes). Empty resolves to StoreSpill when SpillBudget
-	// or SpillDir is set, else StoreMem. Graphs are bit-identical
-	// across stores; the store only changes where the bytes live.
-	// BuildTimed takes only StoreMem.
-	Store string
-	// SpillBudget is the spill store's in-memory byte allowance for
-	// sealed marking blocks (0 with the spill store = spill every
-	// sealed block to disk).
+	// SpillBudget, when positive, is the byte budget of the rows the
+	// graph keeps in memory: past it, the oldest whole blocks of rows
+	// spill to a temp file, so MaxStates can exceed RAM. The rows of
+	// the newest level always stay in memory. 0 keeps every row in
+	// memory. Graphs are bit-identical for every budget; it only
+	// changes where the bytes live.
 	SpillBudget int64
-	// SpillDir is the directory for spill temp files ("" = the system
-	// temp dir).
+	// SpillDir is the directory for the spill temp file ("" = the
+	// system temp dir).
 	SpillDir string
 }
 
@@ -81,41 +71,6 @@ func (o *Options) defaults() {
 	if o.BoundCap <= 0 {
 		o.BoundCap = 4096
 	}
-}
-
-// StoreName resolves the effective store selection: an explicit Store
-// wins; otherwise setting SpillBudget or SpillDir implies the spill
-// store, and the default is the in-memory store.
-func (o Options) StoreName() string {
-	if o.Store != "" {
-		return o.Store
-	}
-	if o.SpillBudget > 0 || o.SpillDir != "" {
-		return StoreSpill
-	}
-	return StoreMem
-}
-
-// CheckStore validates the store selection without building anything —
-// the flag/spec layers call it so a typo fails at parse time, not
-// mid-job.
-func (o Options) CheckStore() error {
-	switch o.StoreName() {
-	case StoreMem, StoreSpill:
-		return nil
-	}
-	return fmt.Errorf("reach: unknown state store %q (want %q or %q)", o.Store, StoreMem, StoreSpill)
-}
-
-// newStateStore builds the store Options select.
-func newStateStore(opt Options, places int) (StateStore, error) {
-	switch opt.StoreName() {
-	case StoreMem:
-		return NewMemStore(places), nil
-	case StoreSpill:
-		return NewSpillStore(places, opt.SpillBudget, opt.SpillDir), nil
-	}
-	return nil, opt.CheckStore()
 }
 
 // Edge is one graph transition: the transition fired and the node it
@@ -136,12 +91,12 @@ type Node struct {
 // Graph is a reachability graph, untimed (Build) or timed (BuildTimed).
 // Node 0 is the initial state. In a timed graph an edge either starts
 // its transition or, labelled TimeAdvance, advances the clock by
-// Advance of its source. Close the graph when done: the spill store
+// Advance of its source. Close the graph when done: a spilling store
 // holds a temp file.
 type Graph struct {
 	Net   *petri.Net
 	Nodes []Node
-	store StateStore
+	store *rowStore
 	// Truncated is true if MaxStates was hit, so analyses are lower
 	// bounds only. Build stops at that point; BuildTimed drops every
 	// later new state but keeps attaching edges between committed ones.
@@ -177,16 +132,11 @@ func (g *Graph) EachMarking(fn func(id int, m petri.Marking) bool) {
 // excluding adjacency.
 func (g *Graph) StoreBytes() int { return g.store.Bytes() }
 
-// SpilledBytes returns how many encoded marking bytes currently live
-// on disk rather than in memory (0 for the in-memory store).
-func (g *Graph) SpilledBytes() int64 {
-	if s, ok := g.store.(*SpillStore); ok {
-		return s.SpilledBytes()
-	}
-	return 0
-}
+// SpilledBytes returns how many encoded row bytes live on disk rather
+// than in memory (0 without a spill budget).
+func (g *Graph) SpilledBytes() int64 { return g.store.spilled }
 
-// Close releases the marking store's resources (the spill store's temp
+// Close releases the marking store's resources (its spill temp
 // file). The graph must not be used afterwards. Safe on a nil-store
 // graph and idempotent.
 func (g *Graph) Close() error {
@@ -208,7 +158,7 @@ func (g *Graph) Close() error {
 // Construction stops the moment a new state would exceed MaxStates
 // (Truncated is set and the graph holds exactly MaxStates nodes).
 //
-// ctx is checked at every window barrier (and the spill store's I/O
+// ctx is checked at every window barrier (and the store's spill I/O
 // errors surface there too); on cancellation the partial graph is
 // discarded, its store closed, and ctx.Err() returned.
 func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
@@ -231,8 +181,7 @@ type rowSucc struct {
 
 // shardBuf is one shard's reused buffers: the arena its successors of
 // the current window are written into, the candidate transitions of the
-// state being expanded (a bitset), and holds' copy of a committed row
-// (spill store only).
+// state being expanded (a bitset), and holds' copy of a spilled row.
 type shardBuf struct {
 	arena []byte
 	cand  []uint64
@@ -246,15 +195,13 @@ type placeDelta struct {
 }
 
 // graphSpace is the untimed state space, and timedSpace's with another
-// expand: states live in the graph's StateStore as rows, candidates in
-// per-shard byte arenas in the same form, and each window's edges in
-// one block of the window's candidate count, since every candidate
-// becomes at most one edge (windowEdges). The rows of the newest level
-// are also kept in one reused arena, fresh: most dedup hits on
-// committed nodes repeat a state an earlier window of the same level
-// committed, and holds compares those in memory instead of reading
-// them back from a spilling store. commit flags the bound cap and
-// truncates at MaxStates.
+// expand: states live in the graph's row store, candidates in per-shard
+// byte arenas in the same form, and each window's edges in one block of
+// the window's candidate count, since every candidate becomes at most
+// one edge (windowEdges). The store keeps the newest level's rows in
+// memory: most dedup hits on committed nodes repeat a state an earlier
+// window of the same level committed, and holds compares those as
+// views. commit flags the bound cap and truncates at MaxStates.
 type graphSpace struct {
 	g       *Graph
 	opt     Options
@@ -269,11 +216,8 @@ type graphSpace struct {
 	cur     petri.Marking // commit's decode buffer
 	rootCap string        // the place over BoundCap in node 0 ("" if none)
 	windows []windowEdges
-	first   int    // the first id of the newest level, whose rows fresh holds
-	fresh   []byte // the rows of nodes first, first+1, ... back to back
-	ends    []int  // ends[i]: offset in fresh past node first+i's row
-	edges   int    // edges committed so far
-	err     error  // set by commit when the edges outgrow int32
+	edges   int   // edges committed so far
+	err     error // set by commit when the edges outgrow int32
 }
 
 // windowEdges is one window's edge block: node lo+i's edges are the
@@ -284,31 +228,25 @@ type windowEdges struct {
 	block  []Edge
 }
 
-// newGraphSpace validates net, opens the store Options select and
-// commits the initial marking as node 0.
+// newGraphSpace validates net, opens its store and commits the initial
+// marking as node 0.
 func newGraphSpace(net *petri.Net, opt Options) (*graphSpace, error) {
 	if net.Interpreted() {
 		return nil, fmt.Errorf("reach: net %q is interpreted (predicates/actions); reachability requires a plain net", net.Name)
 	}
-	s, err := newSpace(net, opt)
-	if err != nil {
-		return nil, err
-	}
+	s := newSpace(net, opt, false)
 	m0 := net.InitialMarking()
 	s.start(appendMarking(nil, m0), m0)
 	return s, nil
 }
 
-// newSpace opens the store Options select and sets up the tables and
-// shard buffers of a space over net, with no node committed.
-func newSpace(net *petri.Net, opt Options) (*graphSpace, error) {
+// newSpace opens the row store and sets up the tables and shard buffers
+// of a space over net, untimed or timed, with no node committed.
+func newSpace(net *petri.Net, opt Options, timed bool) *graphSpace {
 	opt.defaults()
 	places := net.NumPlaces()
-	store, err := newStateStore(opt, places)
-	if err != nil {
-		return nil, err
-	}
-	s := &graphSpace{g: &Graph{Net: net, store: store}, opt: opt, shards: opt.shardCount(), places: places}
+	store := newRowStore(places, timed, opt.SpillBudget, opt.SpillDir)
+	s := &graphSpace{g: &Graph{Net: net, store: store, timed: timed}, opt: opt, shards: opt.shardCount(), places: places}
 	arcs := 0
 	for t := range net.Trans {
 		arcs += len(net.Trans[t].In) + len(net.Trans[t].Out)
@@ -350,16 +288,7 @@ func newSpace(net *petri.Net, opt Options) (*graphSpace, error) {
 	for w := range s.bufs {
 		s.bufs[w].cand = cands[w*words : (w+1)*words : (w+1)*words]
 	}
-	if _, view := store.(*MemStore); !view {
-		// holds copies committed rows out of this store: give each
-		// shard a buffer that fits the widest row.
-		n := places * binary.MaxVarintLen64
-		rows := make([]byte, s.shards*n)
-		for w := range s.bufs {
-			s.bufs[w].row = rows[w*n : w*n : (w+1)*n]
-		}
-	}
-	return s, nil
+	return s
 }
 
 // start commits root, the row of the initial state with marking m0, as
@@ -370,7 +299,6 @@ func (s *graphSpace) start(root []byte, m0 petri.Marking) {
 	s.root = rowSucc{end: uint32(len(root))}
 	s.rootCap = s.overCap(m0)
 	s.g.store.Add(root)
-	s.fresh, s.ends = slices.Clone(root), []int{len(root)}
 }
 
 // finish returns the graph with each node's Out a capped view into its
@@ -526,28 +454,17 @@ func (s *graphSpace) appendFired(b []byte, m petri.Marking, t int) []byte {
 func (s *graphSpace) hash(c *rowSucc) uint64 { return hashRow(s.encoded(c)) }
 
 func (s *graphSpace) holds(w int, id int32, c *rowSucc) bool {
-	if i := int(id) - s.first; i >= 0 {
-		start := 0
-		if i > 0 {
-			start = s.ends[i-1]
-		}
-		return bytes.Equal(s.fresh[start:s.ends[i]], s.encoded(c))
-	}
-	return bytes.Equal(s.g.store.Row(int(id), s.bufs[w].row), s.encoded(c))
+	return bytes.Equal(s.g.store.Row(int(id), &s.bufs[w].row), s.encoded(c))
 }
 
 func (s *graphSpace) same(a, b *rowSucc) bool {
 	return bytes.Equal(s.encoded(a), s.encoded(b))
 }
 
-// open opens the window's edge block, which commit fills in order. The
-// first window of a level empties fresh: until then fresh holds the
-// rows of the level being expanded, which the window's dedup has just
-// compared against.
+// open opens the window's edge block, which commit fills in order, and
+// keeps the rows from first on, the newest level's, in memory.
 func (s *graphSpace) open(lo, first int, counts []int32, total int) {
-	if first != s.first {
-		s.first, s.fresh, s.ends = first, s.fresh[:0], s.ends[:0]
-	}
+	s.g.store.Keep(first)
 	s.windows = append(s.windows, windowEdges{lo: lo, counts: slices.Clone(counts), block: make([]Edge, 0, total)})
 }
 
@@ -570,8 +487,6 @@ func (s *graphSpace) commit(src int, c *rowSucc, id int32) (int32, bool) {
 			return -1, s.truncate(src)
 		}
 		id = int32(g.store.Add(row))
-		s.fresh = append(s.fresh, row...)
-		s.ends = append(s.ends, len(s.fresh))
 	} else if id == 0 && g.CapExceeded == "" {
 		g.CapExceeded = s.rootCap
 	}

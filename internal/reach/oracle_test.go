@@ -18,6 +18,7 @@ package reach
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -36,11 +37,8 @@ func BuildSerial(ctx context.Context, net *petri.Net, opt Options) (*Graph, erro
 	if net.Interpreted() {
 		return nil, fmt.Errorf("reach: net %q is interpreted (predicates/actions); reachability requires a plain net", net.Name)
 	}
-	store, err := newStateStore(opt, net.NumPlaces())
-	if err != nil {
-		return nil, err
-	}
-	g := &Graph{Net: net, store: store}
+	g := &Graph{Net: net, store: newRowStore(net.NumPlaces(), false, opt.SpillBudget, opt.SpillDir)}
+	g.store.Keep(math.MaxInt) // the oracle dedups through its own index, so any row may spill
 	done := false
 	defer func() {
 		if !done {

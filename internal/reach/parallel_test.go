@@ -11,10 +11,10 @@ import (
 	"repro/internal/pipeline"
 )
 
-// graphsIdentical asserts bit-identity between two graphs: same nodes,
-// same edges in the same order, the same marking at every id (which
-// pins both the markings and their id order, regardless of which
-// StateStore holds them) and same flags.
+// graphsIdentical asserts bit-identity between two graphs, untimed or
+// timed: same nodes, same edges in the same order, the same row at every
+// id (which pins the markings, a timed state's timers and their id
+// order, wherever the store keeps them) and same flags.
 func graphsIdentical(t *testing.T, want, got *Graph) {
 	t.Helper()
 	if len(want.Nodes) != len(got.Nodes) {
@@ -31,17 +31,20 @@ func graphsIdentical(t *testing.T, want, got *Graph) {
 			}
 		}
 	}
-	marks := make([]petri.Marking, len(got.Nodes))
-	got.EachMarking(func(id int, m petri.Marking) bool {
-		marks[id] = append(petri.Marking(nil), m...)
+	rows := make([]string, len(got.Nodes))
+	got.store.Span(0, len(got.Nodes), func(id int, _ petri.Marking, row []byte) bool {
+		rows[id] = string(row)
 		return true
 	})
-	want.EachMarking(func(id int, m petri.Marking) bool {
-		if !m.Equal(marks[id]) {
-			t.Fatalf("node %d marking: %v != %v", id, marks[id], m)
+	want.store.Span(0, len(want.Nodes), func(id int, m petri.Marking, row []byte) bool {
+		if string(row) != rows[id] {
+			t.Fatalf("node %d row: %x != %x (marking %v)", id, rows[id], row, m)
 		}
 		return true
 	})
+	if err := got.store.Err(); err != nil {
+		t.Fatalf("store: %v", err)
+	}
 	if want.Truncated != got.Truncated || want.CapExceeded != got.CapExceeded {
 		t.Fatalf("flags: truncated %v/%v capExceeded %q/%q",
 			got.Truncated, want.Truncated, got.CapExceeded, want.CapExceeded)
@@ -439,10 +442,10 @@ func TestBuildAllocBytesPerState(t *testing.T) {
 // Besides the allocations it reports throughput and the live heap the
 // finished graph holds per state: nodes plus edges plus store, measured
 // once after a collection with the graph still reachable. The spill row
-// builds forkjoin_7x4 again with a 64 KiB budget, so most sealed marking
-// blocks go through the spill file; it also reports the bytes spilled
-// per state, and fails if nothing spilled, which would make it measure
-// the in-memory path.
+// builds forkjoin_7x4 again with a 64 KiB budget, so most blocks of rows
+// go through the spill file; it also reports the bytes spilled per
+// state, and fails if nothing spilled, which would make it measure the
+// in-memory path.
 func BenchmarkBuildParallel(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -451,7 +454,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 	}{
 		{"pipeline_12x5", modelgen.DeepPipeline(12, 5, 1), Options{}},
 		{"forkjoin_7x4", modelgen.ForkJoin(7, 4, 1), Options{}},
-		{"forkjoin_7x4/spill", modelgen.ForkJoin(7, 4, 1), Options{Store: StoreSpill, SpillBudget: 64 << 10, SpillDir: b.TempDir()}},
+		{"forkjoin_7x4/spill", modelgen.ForkJoin(7, 4, 1), Options{SpillBudget: 64 << 10, SpillDir: b.TempDir()}},
 	} {
 		for _, shards := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/shards=%d", bc.name, shards), func(b *testing.B) {
@@ -475,7 +478,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 				resident := float64(ms.HeapAlloc-before) / states
 				spilled := g.SpilledBytes()
 				g.Close()
-				if opt.Store == StoreSpill && spilled == 0 {
+				if opt.SpillBudget > 0 && spilled == 0 {
 					b.Fatalf("a %d-byte budget spilled nothing over %.0f states", opt.SpillBudget, states)
 				}
 
@@ -490,7 +493,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 				b.ReportMetric(float64(testing.AllocsPerRun(1, func() { build().Close() }))/states, "allocs/state")
 				b.ReportMetric(resident, "resident-B/state")
 				b.ReportMetric(float64(g.Stats.LevelDups)/float64(g.Stats.Candidates), "level-dup-frac")
-				if opt.Store == StoreSpill {
+				if opt.SpillBudget > 0 {
 					b.ReportMetric(float64(spilled)/states, "spilled-B/state")
 				}
 			})

@@ -2,7 +2,7 @@ package reach
 
 import (
 	"context"
-	"math/rand"
+	"math"
 	"os"
 	"testing"
 
@@ -10,32 +10,18 @@ import (
 	"repro/internal/petri"
 )
 
-// TestSpillStoreRoundTrip drives the framed-block codec across sealed,
-// spilled and open blocks, stride-width and wider rows, and checks
-// every access path, exactly like TestMarkingStoreRoundTrip does for
-// the in-memory store.
-func TestSpillStoreRoundTrip(t *testing.T) {
-	const places, n, wide = 7, 5*spillBlockEntries + 11, 2*spillBlockEntries + 5
-	ref := storeWalk(rand.New(rand.NewSource(42)), places, n, wide)
-	s := NewSpillStore(places, 0, t.TempDir()) // budget 0: every sealed block spills
-	defer s.Close()
-	checkStore(t, s, ref, wide)
-	if s.SpilledBytes() == 0 {
-		t.Fatal("budget-0 spill store never spilled")
-	}
-}
-
-// TestSpillStoreCloseRemovesTempFile: the spill temp file must not
-// outlive the store — Close removes it, and Close is idempotent.
-func TestSpillStoreCloseRemovesTempFile(t *testing.T) {
+// TestSpillCloseRemovesTempFile: the spill temp file must not outlive
+// the store — Close removes it, and Close is idempotent.
+func TestSpillCloseRemovesTempFile(t *testing.T) {
 	dir := t.TempDir()
-	s := NewSpillStore(3, 0, dir)
+	s := newRowStore(3, false, 1, dir)
+	s.Keep(math.MaxInt)
 	m := petri.Marking{1, 2, 3}
-	for i := 0; i < 3*spillBlockEntries; i++ {
+	for i := 0; i < 3*blockRows; i++ {
 		m[0] = i
 		s.Add(appendMarking(nil, m))
 	}
-	if s.SpilledBytes() == 0 {
+	if s.spilled == 0 {
 		t.Fatal("store never spilled")
 	}
 	ents, err := os.ReadDir(dir)
@@ -60,50 +46,75 @@ func TestSpillStoreCloseRemovesTempFile(t *testing.T) {
 	}
 }
 
-// TestBuildSpillMatchesMem is the cross-store identity property test:
-// for in-memory budgets {0, tiny, huge} the spill-store graph must be
-// bit-identical to the in-memory oracle — for the serial builder and
-// every shard count — and the temp files must be gone afterwards.
+// TestBuildSpillMatchesMem is the cross-budget identity property test:
+// for spill budgets {1 byte, tiny, huge} the graph must be bit-identical
+// to the in-memory one — the untimed serial oracle, the untimed build at
+// every shard count, and the timed build at every shard count against
+// its in-memory run — and the temp files must be gone afterwards. At a
+// 1-byte budget every untruncated graph of two blocks or more must
+// spill.
 func TestBuildSpillMatchesMem(t *testing.T) {
-	nets := append([]buildCase{
+	type spillCase struct {
+		buildCase
+		timed bool // build with BuildTimed
+	}
+	var nets []spillCase
+	for _, tc := range append([]buildCase{
 		{"mutex", mutexNet(t), Options{}},
 		{"pipeline_8x3", modelgen.DeepPipeline(8, 3, 1), Options{}},
 		{"forkjoin_4x3", modelgen.ForkJoin(4, 3, 3), Options{}},
 		{"truncated", unboundedBranchNet(), Options{MaxStates: 500}},
-	}, append(wideTestNets(), scanTestNets()...)...)
-	budgets := []int64{0, 256, 1 << 30}
+	}, append(wideTestNets(), scanTestNets()...)...) {
+		nets = append(nets, spillCase{buildCase: tc})
+	}
+	for _, tc := range timedTestNets(t) {
+		tc.name = "timed_" + tc.name
+		nets = append(nets, spillCase{buildCase: tc, timed: true})
+	}
+	budgets := []int64{1, 256, 1 << 30}
 	for _, tc := range nets {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := BuildSerial(context.Background(), tc.net, tc.opt)
+			build, want, err := Build, (*Graph)(nil), error(nil)
+			if tc.timed {
+				build = BuildTimed
+				want, err = BuildTimed(context.Background(), tc.net, tc.opt)
+			} else {
+				want, err = BuildSerial(context.Background(), tc.net, tc.opt)
+			}
 			if err != nil {
 				t.Fatal(err)
+			}
+			mustSpill := func(budget int64, got *Graph) {
+				t.Helper()
+				if budget == 1 && !want.Truncated && len(want.Nodes) >= 2*blockRows && got.SpilledBytes() == 0 {
+					t.Errorf("budget=1: nothing spilled for %d states", len(want.Nodes))
+				}
 			}
 			for _, budget := range budgets {
 				dir := t.TempDir()
 				opt := tc.opt
-				opt.Store, opt.SpillBudget, opt.SpillDir = StoreSpill, budget, dir
+				opt.SpillBudget, opt.SpillDir = budget, dir
 
-				got, err := BuildSerial(context.Background(), tc.net, opt)
-				if err != nil {
-					t.Fatalf("serial budget=%d: %v", budget, err)
-				}
-				graphsIdentical(t, want, got)
-				if budget == 0 && want.StoreBytes() > spillBlockEntries*len(tc.net.Places) {
-					if got.SpilledBytes() == 0 {
-						t.Errorf("serial budget=0: nothing spilled for a %d-byte store", got.StoreBytes())
+				if !tc.timed {
+					got, err := BuildSerial(context.Background(), tc.net, opt)
+					if err != nil {
+						t.Fatalf("serial budget=%d: %v", budget, err)
+					}
+					graphsIdentical(t, want, got)
+					mustSpill(budget, got)
+					if err := got.Close(); err != nil {
+						t.Fatal(err)
 					}
 				}
-				if err := got.Close(); err != nil {
-					t.Fatal(err)
-				}
 
-				for _, shards := range []int{1, 2, 8} {
+				for _, shards := range []int{1, 2, 3, 8} {
 					opt.Shards = shards
-					got, err := Build(context.Background(), tc.net, opt)
+					got, err := build(context.Background(), tc.net, opt)
 					if err != nil {
 						t.Fatalf("shards=%d budget=%d: %v", shards, budget, err)
 					}
 					graphsIdentical(t, want, got)
+					mustSpill(budget, got)
 					if err := got.Close(); err != nil {
 						t.Fatal(err)
 					}
@@ -126,9 +137,7 @@ func TestBuildSpillMatchesMem(t *testing.T) {
 func TestBuildSpillExceedsBudget(t *testing.T) {
 	const budget = 1024
 	net := modelgen.DeepPipeline(10, 4, 2)
-	g, err := Build(context.Background(), net, Options{
-		Store: StoreSpill, SpillBudget: budget, SpillDir: t.TempDir(),
-	})
+	g, err := Build(context.Background(), net, Options{SpillBudget: budget, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +182,11 @@ func TestBuildCancelled(t *testing.T) {
 		t.Errorf("Coverability: err = %v, want context.Canceled", err)
 	}
 	dir := t.TempDir()
-	if _, err := Build(ctx, net, Options{Store: StoreSpill, SpillDir: dir}); err != context.Canceled {
+	if _, err := Build(ctx, net, Options{SpillBudget: 1, SpillDir: dir}); err != context.Canceled {
 		t.Errorf("Build(spill): err = %v, want context.Canceled", err)
+	}
+	if _, err := BuildTimed(ctx, net, Options{SpillBudget: 1, SpillDir: dir}); err != context.Canceled {
+		t.Errorf("BuildTimed(spill): err = %v, want context.Canceled", err)
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -182,28 +194,5 @@ func TestBuildCancelled(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Fatalf("cancelled spill build left %d temp files", len(ents))
-	}
-}
-
-// TestCheckStore validates the store-name gate the flag and spec layers
-// rely on.
-func TestCheckStore(t *testing.T) {
-	for _, ok := range []Options{
-		{}, {Store: StoreMem}, {Store: StoreSpill},
-		{SpillBudget: 4096}, {SpillDir: "/tmp"},
-	} {
-		if err := ok.CheckStore(); err != nil {
-			t.Errorf("CheckStore(%+v) = %v", ok, err)
-		}
-	}
-	bad := Options{Store: "fancy"}
-	if err := bad.CheckStore(); err == nil {
-		t.Error("unknown store name validated")
-	}
-	if got := (Options{SpillBudget: 1}).StoreName(); got != StoreSpill {
-		t.Errorf("SpillBudget alone resolves to %q, want spill", got)
-	}
-	if got := (Options{}).StoreName(); got != StoreMem {
-		t.Errorf("zero Options resolve to %q, want mem", got)
 	}
 }

@@ -71,7 +71,12 @@ func (g *Graph) Advance(id int) petri.Time {
 	if !g.timed {
 		return 0
 	}
-	delta, _ := rowAdvance(g.store.Row(id, nil), g.Net.NumPlaces())
+	var scratch []byte
+	row := g.store.Row(id, &scratch)
+	if len(row) == 0 { // a failed spill read: the store's error sticks
+		return 0
+	}
+	delta, _ := rowAdvance(row, g.Net.NumPlaces())
 	return delta
 }
 
@@ -113,9 +118,7 @@ func constOf(d petri.Delay) (petri.Time, bool) {
 // ripe transition where the simulator draws one at random; firing
 // frequencies are therefore irrelevant here (except that frequency-0
 // transitions never fire). Nets with non-constant delays, predicates or
-// actions are rejected, and so is the spill store: a timed row's timer
-// suffix has no fixed number of fields, and a spill block frames rows
-// of one uvarint per place.
+// actions are rejected.
 //
 // Like Build, the search is the sharded frontier of explore over
 // opt.Shards goroutines, so the graph is bit-identical to a serial FIFO
@@ -156,17 +159,7 @@ func newTimedSpace(net *petri.Net, opt Options) (*timedSpace, error) {
 	if err := timedValidate(net); err != nil {
 		return nil, err
 	}
-	if name := opt.StoreName(); name != StoreMem {
-		if err := opt.CheckStore(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("reach: the timed graph needs the %q state store, not %q: spill blocks frame rows of one count per place, and timed rows carry timers", StoreMem, name)
-	}
-	gs, err := newSpace(net, opt)
-	if err != nil {
-		return nil, err
-	}
-	gs.g.timed = true
+	gs := newSpace(net, opt, true)
 	nt := len(net.Trans)
 	s := &timedSpace{graphSpace: gs, firing: make([]petri.Time, nt), enabling: make([]petri.Time, nt), tbufs: make([]timedBuf, gs.shards)}
 	for t := range net.Trans {

@@ -27,7 +27,8 @@ func timedGraphsIdentical(t *testing.T, want *TimedGraph, got *Graph) {
 			t.Fatalf("node %d: id/marking mismatch: %v != %v", i, m, w.Marking)
 		}
 		var pend, enab []Remaining
-		walkTimers(got.store.Row(i, nil), places, func(pending bool, tm timer) {
+		var scratch []byte
+		walkTimers(got.store.Row(i, &scratch), places, func(pending bool, tm timer) {
 			r := Remaining{Trans: petri.TransID(tm.t), Left: tm.left}
 			if pending {
 				pend = append(pend, r)

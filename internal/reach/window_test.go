@@ -129,10 +129,10 @@ func TestWideLevelsMatchOracles(t *testing.T) {
 		want *Graph
 	}{{0, full}, {truncated, cut}} {
 		for _, shards := range []int{1, 2, 3} {
-			for _, store := range []string{StoreMem, StoreSpill} {
+			for _, store := range []string{"mem", "spill"} {
 				t.Run(fmt.Sprintf("max=%d/shards=%d/%s", tc.max, shards, store), func(t *testing.T) {
-					opt := Options{MaxStates: tc.max, Shards: shards, Store: store}
-					if store == StoreSpill {
+					opt := Options{MaxStates: tc.max, Shards: shards}
+					if store == "spill" {
 						opt.SpillBudget, opt.SpillDir = 64<<10, t.TempDir()
 					}
 					got, err := Build(ctx, net, opt)

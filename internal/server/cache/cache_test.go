@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/experiment"
@@ -123,7 +124,8 @@ func TestKeyStopRuleSensitivity(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := New(100)
+	const budget = 2*(40+entryOverhead) + 20 // room for two 40-byte bodies, not three
+	c := New(budget)
 	body := func(n int) []byte { return make([]byte, n) }
 	c.Put("a", "text/plain", body(40))
 	c.Put("b", "text/plain", body(40))
@@ -142,16 +144,34 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatal("c missing")
 	}
 	// Oversized bodies are not stored at all.
-	c.Put("huge", "text/plain", body(101))
+	c.Put("huge", "text/plain", body(budget-entryOverhead+1))
 	if _, ok := c.Get("huge"); ok {
 		t.Fatal("oversized body was stored")
 	}
 	hits, misses, entries, bytes := c.Stats()
-	if entries != 2 || bytes != 80 {
-		t.Fatalf("stats: %d entries %d bytes, want 2/80", entries, bytes)
+	if entries != 2 || bytes != 2*(40+entryOverhead) {
+		t.Fatalf("stats: %d entries %d bytes, want 2/%d", entries, bytes, 2*(40+entryOverhead))
 	}
 	if hits == 0 || misses == 0 {
 		t.Fatalf("stats: hits=%d misses=%d, want both nonzero", hits, misses)
+	}
+}
+
+// TestCacheChargesEntryOverhead: many tiny bodies must not hold far
+// more memory than the budget, so each entry is charged its key, list
+// node and map slot as well as its body.
+func TestCacheChargesEntryOverhead(t *testing.T) {
+	const budget = 1 << 20
+	c := New(budget)
+	for i := 0; i < 100_000; i++ {
+		c.Put(fmt.Sprintf("%064x", i), "text/plain", []byte("ok"))
+	}
+	_, _, entries, bytes := c.Stats()
+	if limit := budget / (2 + entryOverhead); entries > limit {
+		t.Fatalf("%d two-byte entries under a %d-byte budget, want at most %d", entries, budget, limit)
+	}
+	if bytes > budget || bytes != int64(entries)*(2+entryOverhead) {
+		t.Fatalf("stats charge %d bytes for %d entries under a %d-byte budget", bytes, entries, budget)
 	}
 }
 

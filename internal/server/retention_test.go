@@ -379,7 +379,7 @@ func TestSubmitMaxStates(t *testing.T) {
 }
 
 // TestSubmitRejectsSpillDir: a spec may not pick a directory on the
-// server's disk; the spill store itself stays available.
+// server's disk; spilling itself stays available.
 func TestSubmitRejectsSpillDir(t *testing.T) {
 	s := New(Config{})
 	blockingRun(s)
@@ -387,7 +387,7 @@ func TestSubmitRejectsSpillDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := sweepcli.Spec{Net: string(net), Engine: "reach", Store: "spill", SpillBudget: 1024, SpillDir: t.TempDir()}
+	spec := sweepcli.Spec{Net: string(net), Engine: "reach", SpillBudget: 1024, SpillDir: t.TempDir()}
 	rec := postSpec(t, s, spec, "", http.StatusBadRequest)
 	if !strings.Contains(rec.Body.String(), "spillDir") {
 		t.Fatalf("rejection names no spillDir: %s", rec.Body.String())

@@ -176,10 +176,10 @@ func TestServeSweepByteIdentical(t *testing.T) {
 	resp4.Body.Close()
 }
 
-// TestStoreSharesCacheEntry: the marking stores are bit-identical by
-// contract, so the store selection is not part of a job's grid. A reach
-// job run on the in-memory store and resubmitted on the spill store is
-// the same address: the second reply is a cache hit with the same body.
+// TestStoreSharesCacheEntry: graphs are bit-identical for every spill
+// budget by contract, so the budget is not part of a job's grid. A
+// reach job run in memory and resubmitted with a spill budget is the
+// same address: the second reply is a cache hit with the same body.
 func TestStoreSharesCacheEntry(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheBytes: 1 << 20, Workers: 2})
 	net, err := os.ReadFile("../../testdata/mutex.pn")
@@ -192,20 +192,19 @@ func TestStoreSharesCacheEntry(t *testing.T) {
 		Bound:  []string{"lock"},
 		Ctl:    []string{"AG(EF({crit_a == 1}))"},
 		Format: "csv",
-		Store:  "mem",
 	}
 	var bodies [2]bytes.Buffer
 	for i, want := range []string{"miss", "hit"} {
 		resp := submit(t, ts, spec, "?wait=1", nil)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("store %s: status %d", spec.Store, resp.StatusCode)
+			t.Fatalf("spill budget %d: status %d", spec.SpillBudget, resp.StatusCode)
 		}
 		if got := resp.Header.Get("X-Pnut-Cache"); got != want {
-			t.Fatalf("store %s: X-Pnut-Cache = %q, want %q", spec.Store, got, want)
+			t.Fatalf("spill budget %d: X-Pnut-Cache = %q, want %q", spec.SpillBudget, got, want)
 		}
 		bodies[i].ReadFrom(resp.Body)
 		resp.Body.Close()
-		spec.Store, spec.SpillBudget = "spill", 1024
+		spec.SpillBudget = 1024
 		t.Setenv("TMPDIR", t.TempDir())
 	}
 	if !bytes.Equal(bodies[0].Bytes(), bodies[1].Bytes()) {
@@ -470,6 +469,10 @@ func TestSubmitValidation(t *testing.T) {
 			http.StatusBadRequest},
 		"grid overflows int": {`{"model":"cache","axes":["DHitRatio=0:65535:1","IHitRatio=0:65535:1","MemoryCycles=0:65535:1","HitCycles=0:65535:1"],"throughput":["Issue"]}`,
 			http.StatusBadRequest},
+		"negative spill budget": {`{"model":"cache","axes":["DHitRatio=0,1"],"engine":"reach","spillBudget":-1}`,
+			http.StatusBadRequest},
+		"store field": {`{"model":"cache","axes":["DHitRatio=0,1"],"engine":"reach","store":"spill"}`,
+			http.StatusBadRequest},
 		"body too big": {fmt.Sprintf(`{"net":%q,"throughput":["Issue"]}`, strings.Repeat("x", 600)),
 			http.StatusRequestEntityTooLarge},
 	}
@@ -544,7 +547,6 @@ trans grow_b
 `,
 		Engine:      "reach",
 		MaxStates:   30_000_000,
-		Store:       "spill",
 		SpillBudget: 1 << 16,
 	}
 	r := decodeJob(t, submit(t, ts, spec, "", nil))

@@ -11,6 +11,7 @@
 package sweepcli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"strconv"
@@ -33,11 +34,10 @@ type EngineFlags struct {
 	// Explore is the per-cell exploration parallelism of the exhaustive
 	// engines (0 = GOMAXPROCS). Like -parallel it never affects results.
 	Explore int
-	// Store selects the reach engine's marking store ("mem" or
-	// "spill"); SpillBudget/SpillDir shape the spill store. Graphs are
-	// bit-identical across stores, so like -parallel none of them
-	// enters the cell metadata or the cache key.
-	Store       string
+	// SpillBudget (0 = every row in memory) and SpillDir let the
+	// exhaustive engines' marking store spill to a temp file. Graphs are
+	// bit-identical for every budget, so like -parallel neither enters
+	// the cell metadata or the cache key.
 	SpillBudget int64
 	SpillDir    string
 	// Bounds and Checks are the reach engine's repeatable metric
@@ -63,9 +63,18 @@ func (f *EngineFlags) RegisterState(fs *flag.FlagSet) {
 	fs.IntVar(&f.MaxStates, "max-states", 0, "state-space cap per exploration (0 = 100000)")
 	fs.IntVar(&f.BoundCap, "bound-cap", 0, "flag a place as potentially unbounded past this token count (0 = 4096)")
 	fs.IntVar(&f.Explore, "explore-shards", 0, "exploration goroutines per state-space build (0 = GOMAXPROCS,\nat most 256; never affects results)")
-	fs.StringVar(&f.Store, "store", "", "marking store: mem (in-memory row store, the default) or spill\n(blocks of rows spilling to a temp file; implied by -spill-budget\nor -spill-dir). Results are bit-identical either way")
-	fs.Int64Var(&f.SpillBudget, "spill-budget", 0, "with the spill store: in-memory byte budget for sealed marking\nblocks before they spill to disk (0 with -store spill = spill\nevery sealed block)")
-	fs.StringVar(&f.SpillDir, "spill-dir", "", "directory for spill temp files (empty = the system temp dir)")
+	fs.Func("spill-budget", "budget in `bytes` for the state rows an exploration keeps in memory:\npast it the oldest blocks of rows spill to a temp file, while the\nnewest level stays in memory (0 = keep every row in memory, the\ndefault). Results are bit-identical for every budget", func(v string) error {
+		n, err := strconv.ParseInt(v, 0, 64)
+		if err != nil {
+			return err
+		}
+		if n < 0 {
+			return errors.New("must be at least 0")
+		}
+		f.SpillBudget = n
+		return nil
+	})
+	fs.StringVar(&f.SpillDir, "spill-dir", "", "directory for the spill temp file (empty = the system temp dir)")
 }
 
 // ReachOptions is the single constructor of reach.Options from the
@@ -77,7 +86,6 @@ func (f *EngineFlags) ReachOptions() reach.Options {
 		MaxStates:   f.MaxStates,
 		BoundCap:    f.BoundCap,
 		Shards:      f.Explore,
-		Store:       f.Store,
 		SpillBudget: f.SpillBudget,
 		SpillDir:    f.SpillDir,
 	}
@@ -99,9 +107,6 @@ func (f *EngineFlags) Args() []string {
 	if f.Explore != 0 {
 		args = append(args, "-explore-shards", strconv.Itoa(f.Explore))
 	}
-	if f.Store != "" {
-		args = append(args, "-store", f.Store)
-	}
 	if f.SpillBudget != 0 {
 		args = append(args, "-spill-budget", strconv.FormatInt(f.SpillBudget, 10))
 	}
@@ -121,16 +126,13 @@ func (f *EngineFlags) Args() []string {
 // and replication shape. opt arrives with the engine-neutral grid
 // already in place (axes, seed schedule, adaptive rule, build hook).
 func (c *Config) applyEngine(opt *experiment.SweepOptions) error {
-	if err := c.EngineFlags.ReachOptions().CheckStore(); err != nil {
-		return fmt.Errorf("-store: %w", err)
-	}
 	switch c.Engine {
 	case "", "sim":
 		if len(c.Bounds)+len(c.Checks) > 0 {
 			return fmt.Errorf("-bound and -ctl are state-space metrics and need -engine reach")
 		}
-		if c.Store != "" || c.SpillBudget != 0 || c.SpillDir != "" {
-			return fmt.Errorf("-store, -spill-budget and -spill-dir shape the reach marking store and\nneed -engine reach")
+		if c.SpillBudget != 0 || c.SpillDir != "" {
+			return fmt.Errorf("-spill-budget and -spill-dir shape the marking store of the exhaustive\nengines and need -engine reach or analytic")
 		}
 		metrics := c.Metrics()
 		if len(metrics) == 0 {
@@ -164,11 +166,6 @@ func (c *Config) applyEngine(opt *experiment.SweepOptions) error {
 	case "analytic":
 		if len(c.Bounds)+len(c.Checks) > 0 {
 			return fmt.Errorf("-bound and -ctl are state-space metrics and need -engine reach")
-		}
-		if c.Store != "" || c.SpillBudget != 0 || c.SpillDir != "" {
-			// The timed graph keeps its rows in the in-memory store:
-			// spill blocks cannot frame a timed row's timers.
-			return fmt.Errorf("-store, -spill-budget and -spill-dir shape the reach marking store and\nneed -engine reach")
 		}
 		if opt.Adaptive != nil {
 			return fmt.Errorf("-adaptive needs a stochastic engine; -engine analytic is exact (one rep per point)")

@@ -188,46 +188,41 @@ func TestCrossOptionsAndValidate(t *testing.T) {
 	}
 }
 
-// TestEngineStoreFlags: the state-store group flows flags -> options ->
-// backend, rejects cross-engine combinations, and fails a bad store
-// name at parse time on both surfaces.
+// TestEngineStoreFlags: the spill group flows flags -> options ->
+// backend for both exhaustive engines, and rejects the sim engine and
+// a negative budget at parse time on both surfaces.
 func TestEngineStoreFlags(t *testing.T) {
-	c := parseConfig(t, "-model", "cache", "-axis", "DHitRatio=0,1",
-		"-engine", "reach", "-store", "spill", "-spill-budget", "4096", "-spill-dir", "/tmp/x")
-	opt, _, err := c.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, ok := opt.Backend.(experiment.ReachBackend)
-	if !ok {
-		t.Fatalf("backend = %T, want ReachBackend", opt.Backend)
-	}
-	if rb.Opt.Store != reach.StoreSpill || rb.Opt.SpillBudget != 4096 || rb.Opt.SpillDir != "/tmp/x" {
-		t.Errorf("backend options lost the store group: %+v", rb.Opt)
-	}
-
-	// -spill-budget alone implies the spill store.
-	c = parseConfig(t, "-model", "cache", "-axis", "DHitRatio=0,1",
-		"-engine", "reach", "-spill-budget", "512")
-	opt, _, err = c.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb, ok := opt.Backend.(experiment.ReachBackend); !ok || rb.Opt.StoreName() != reach.StoreSpill {
-		t.Errorf("-spill-budget alone did not select the spill store: %+v", opt.Backend)
+	for _, engine := range [][]string{{"reach"}, {"analytic", "-throughput", "Issue"}} {
+		c := parseConfig(t, append([]string{"-model", "cache", "-axis", "DHitRatio=0,1",
+			"-spill-budget", "4096", "-spill-dir", "/tmp/x", "-engine"}, engine...)...)
+		opt, _, err := c.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got reach.Options
+		switch b := opt.Backend.(type) {
+		case experiment.ReachBackend:
+			got = b.Opt
+		case experiment.AnalyticBackend:
+			got = b.Opt
+		}
+		if got.SpillBudget != 4096 || got.SpillDir != "/tmp/x" {
+			t.Errorf("-engine %s: backend options lost the spill group: %+v", engine[0], opt.Backend)
+		}
 	}
 
 	for _, bad := range [][]string{
-		{"-throughput", "Issue", "-store", "spill"},      // sim engine
 		{"-throughput", "Issue", "-spill-budget", "512"}, // sim engine
-		{"-engine", "reach", "-store", "fancy"},          // unknown store
-		// The timed build interns whole states: the marking store never
-		// runs under the analytic engine.
-		{"-engine", "analytic", "-throughput", "Issue", "-store", "spill"},
-		{"-engine", "analytic", "-throughput", "Issue", "-spill-budget", "512"},
+		{"-throughput", "Issue", "-spill-dir", "/tmp/x"}, // sim engine
+		{"-engine", "reach", "-spill-budget", "-1"},
+		{"-engine", "analytic", "-throughput", "Issue", "-spill-budget", "-1"},
 	} {
 		args := append([]string{"-model", "cache", "-axis", "DHitRatio=0,1"}, bad...)
-		if _, _, err := parseConfig(t, args...).Options(); err == nil {
+		c, _, err := parseFlags(args)
+		if err == nil {
+			_, _, err = c.Options()
+		}
+		if err == nil {
 			t.Errorf("flags %v produced options", bad)
 		}
 	}
@@ -236,14 +231,14 @@ func TestEngineStoreFlags(t *testing.T) {
 	// options agrees with the CLI, and the projection keeps it.
 	spec := Spec{
 		Model: "cache", Axes: []string{"DHitRatio=0,1"},
-		Engine: "reach", Store: "spill", SpillBudget: 4096, SpillDir: "/tmp/x",
+		Engine: "reach", SpillBudget: 4096, SpillDir: "/tmp/x",
 	}
 	got, _, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _, err := parseConfig(t, "-model", "cache", "-axis", "DHitRatio=0,1",
-		"-engine", "reach", "-store", "spill", "-spill-budget", "4096", "-spill-dir", "/tmp/x").Options()
+		"-engine", "reach", "-spill-budget", "4096", "-spill-dir", "/tmp/x").Options()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,13 +246,13 @@ func TestEngineStoreFlags(t *testing.T) {
 		t.Fatalf("spec store grid differs from flag grid:\nspec: %+v\ncli:  %+v",
 			experiment.MetaOf(got, ""), experiment.MetaOf(want, ""))
 	}
-	c = parseConfig(t, "-model", "cache", "-axis", "DHitRatio=0,1",
-		"-engine", "reach", "-store", "spill", "-spill-budget", "4096", "-spill-dir", "/tmp/x")
-	if s := SpecFromConfig(c); s.Store != "spill" || s.SpillBudget != 4096 || s.SpillDir != "/tmp/x" {
-		t.Errorf("projected spec lost the store group: %+v", s)
+	c := parseConfig(t, "-model", "cache", "-axis", "DHitRatio=0,1",
+		"-engine", "reach", "-spill-budget", "4096", "-spill-dir", "/tmp/x")
+	if s := SpecFromConfig(c); s.SpillBudget != 4096 || s.SpillDir != "/tmp/x" {
+		t.Errorf("projected spec lost the spill group: %+v", s)
 	}
-	badSpec := Spec{Model: "cache", Engine: "reach", Store: "fancy"}
+	badSpec := Spec{Model: "cache", Engine: "reach", SpillBudget: -1}
 	if _, _, err := badSpec.Resolve(); err == nil {
-		t.Error("spec accepted an unknown store name")
+		t.Error("spec accepted a negative spill budget")
 	}
 }

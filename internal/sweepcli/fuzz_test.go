@@ -32,7 +32,6 @@ func configSpec(c *Config) Spec {
 		ExploreShards: c.Explore,
 		Bound:         c.Bounds,
 		Ctl:           c.Checks,
-		Store:         c.Store,
 		SpillBudget:   c.SpillBudget,
 		SpillDir:      c.SpillDir,
 		Parallel:      c.Parallel,
@@ -88,7 +87,6 @@ func specWant(s *Spec, def Spec) Spec {
 	seti(&w.BoundCap, s.BoundCap)
 	seti(&w.ExploreShards, s.ExploreShards)
 	w.Bound, w.Ctl = nilEmpty(s.Bound), nilEmpty(s.Ctl)
-	sets(&w.Store, s.Store)
 	set(&w.SpillBudget, s.SpillBudget)
 	sets(&w.SpillDir, s.SpillDir)
 	seti(&w.Parallel, s.Parallel)
@@ -120,7 +118,7 @@ func FuzzSpec(f *testing.F) {
 		`{"model":"cache","axes":["DHitRatio=0:1:0.5","MemoryCycles=1,5"],"seed":42,"horizon":2500,"maxStarts":900,"adaptive":"throughput(Issue):0.05","minReps":3,"maxReps":16,"batch":2,"throughput":["Issue"],"utilization":["Bus_busy"]}`,
 		`{"model":"cache","axes":["DHitRatio=0.5,0.9","MemoryCycles=1,5"],"reps":3,"seed":11,"horizon":1000,"format":"csv","throughput":["Issue"],"utilization":["Bus_busy"]}`,
 		`{"net":"net two_phase\nvar delay 3\nplace ready init 1\nplace busy\ntrans start\n  in ready\n  out busy\n  enabling expr{ delay }\ntrans finish\n  in busy\n  out ready\n  firing 2\n","axes":["delay=1,2"],"reps":2,"horizon":200,"throughput":["finish"]}`,
-		`{"net":"net m\nplace lock init 1\nplace crit\ntrans enter\n  in lock\n  out crit\ntrans leave\n  in crit\n  out lock\n","engine":"reach","bound":["lock"],"ctl":["AG(EF({crit == 1}))"],"maxStates":500,"boundCap":9,"exploreShards":2,"store":"spill","spillBudget":1024}`,
+		`{"net":"net m\nplace lock init 1\nplace crit\ntrans enter\n  in lock\n  out crit\ntrans leave\n  in crit\n  out lock\n","engine":"reach","bound":["lock"],"ctl":["AG(EF({crit == 1}))"],"maxStates":500,"boundCap":9,"exploreShards":2,"spillBudget":1024}`,
 		`{"engine":"analytic","throughput":["Issue"],"parallel":2}`,
 		`{"model":"-reps","seed":-5,"axes":["-x"],"throughput":["-horizon"]}`,
 		`{"engine":"sim+analytic","throughput":["Issue"]}`,

@@ -61,11 +61,10 @@ type Spec struct {
 	ExploreShards int      `json:"exploreShards,omitempty"`
 	Bound         []string `json:"bound,omitempty"`
 	Ctl           []string `json:"ctl,omitempty"`
-	// Store selects the reach engine's marking store (mem or spill);
-	// SpillBudget/SpillDir shape the spill store, letting jobs whose
-	// state space exceeds RAM complete by spilling. Results are
-	// bit-identical across stores.
-	Store       string `json:"store,omitempty"`
+	// SpillBudget (0 = every row in memory) and SpillDir let the
+	// exhaustive engines' jobs whose state space exceeds RAM complete
+	// by spilling rows to a temp file. Results are bit-identical for
+	// every budget.
 	SpillBudget int64  `json:"spillBudget,omitempty"`
 	SpillDir    string `json:"spillDir,omitempty"`
 
@@ -138,9 +137,6 @@ func (s *Spec) Flags() []string {
 	}
 	if s.ExploreShards != 0 {
 		args = append(args, "-explore-shards", strconv.Itoa(s.ExploreShards))
-	}
-	if s.Store != "" {
-		args = append(args, "-store", s.Store)
 	}
 	if s.SpillBudget != 0 {
 		args = append(args, "-spill-budget", strconv.FormatInt(s.SpillBudget, 10))
@@ -231,7 +227,6 @@ func SpecFromConfig(c *Config) Spec {
 		s.MaxStates = c.EngineFlags.MaxStates
 		s.BoundCap = c.BoundCap
 		s.ExploreShards = c.Explore
-		s.Store = c.Store
 		s.SpillBudget = c.SpillBudget
 		s.SpillDir = c.SpillDir
 		s.Bound = append([]string(nil), c.Bounds...)

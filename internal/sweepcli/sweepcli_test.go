@@ -46,7 +46,7 @@ func TestWorkerArgsRoundTrip(t *testing.T) {
 			Axes: Repeated{"max_type=4,6"},
 			EngineFlags: EngineFlags{
 				Engine: "reach", MaxStates: 5000,
-				Store: "spill", SpillBudget: 1 << 20, SpillDir: "/tmp/spill",
+				SpillBudget: 1 << 20, SpillDir: "/tmp/spill",
 			},
 		},
 	}
