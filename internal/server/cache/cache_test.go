@@ -214,3 +214,30 @@ func TestKeyIsStable(t *testing.T) {
 		t.Fatalf("key derivation changed: got %s (update the pin only with a deliberate version bump)", got)
 	}
 }
+
+// TestSpecKeyIsStable pins the key of whole job specs, end to end
+// through Spec.Resolve and MetaOf: a change to how a spec expands into
+// its grid meta, or to how the meta is normalized before hashing, must
+// not move an address that deployed caches hold.
+func TestSpecKeyIsStable(t *testing.T) {
+	for _, c := range []struct {
+		spec sweepcli.Spec
+		want string
+	}{
+		{sweepcli.Spec{
+			Model: "cache", Axes: []string{"DHitRatio=0:1:0.5", "MemoryCycles=1,5"},
+			Seed: 11, Horizon: 1000, MaxStarts: 900,
+			Adaptive: "throughput(Issue):0.05", MinReps: 3, MaxReps: 16, Batch: 2,
+			Throughput: []string{"Issue"}, Utilization: []string{"Bus_busy"},
+		}, "feeb37538468d543338e159b80df1bca704e9e7053cd0a2b7e4c8f1b4c14aca8"},
+		{sweepcli.Spec{
+			Model: "pipeline", Axes: []string{"DHitRatio=0.5,0.9"},
+			Engine: "reach", MaxStates: 5000, BoundCap: 64, Bound: []string{"Bus_busy"},
+		}, "d9aa0176c3f3855baf5d9cb4b446234482140a9c0dd39ac9bdbf3cd4719a6681"},
+	} {
+		m, d := metaFor(t, c.spec)
+		if got := Key(d, m, "csv"); got != c.want {
+			t.Errorf("spec %+v keys %s, want %s", c.spec, got, c.want)
+		}
+	}
+}
