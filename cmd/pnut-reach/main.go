@@ -127,7 +127,13 @@ func main() {
 			failed = true
 		}
 	}
+	// A failed spill read zeroes the markings it should have returned:
+	// every line above may rest on a partial state space.
+	err = g.Err()
 	g.Close()
+	if err != nil {
+		fatal(err)
+	}
 	if failed {
 		os.Exit(1)
 	}

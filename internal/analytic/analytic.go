@@ -56,7 +56,8 @@ type Options = reach.Options
 // checks it at every window barrier, the solve every 1024 state
 // eliminations. The figures are bit-identical across runs, GOMAXPROCS
 // values, opt.Shards and opt.SpillBudget. Close the result when done:
-// with a spill budget its graph holds a temp file.
+// with a spill budget its graph holds a temp file, which Utilization
+// and ProbMarked read back and whose read errors they return.
 func Evaluate(ctx context.Context, net *petri.Net, opt Options) (r *Result, err error) {
 	g, err := reach.BuildTimed(ctx, net, opt)
 	if err != nil {
@@ -79,6 +80,9 @@ func Evaluate(ctx context.Context, net *petri.Net, opt Options) (r *Result, err 
 			dl[0], g.MarkingOf(dl[0]).Format(net))
 	}
 	rows, sojourn, err := embeddedChain(net, g)
+	if err == nil {
+		err = g.Err() // a failed spill read zeroes an Advance
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +125,7 @@ func (r *Result) Utilization(place string) (float64, error) {
 		u += r.timeShare[i] * float64(m[id])
 		return true
 	})
-	return u, nil
+	return u, r.graph.Err()
 }
 
 // Throughput returns the steady-state firing rate of a transition per
@@ -168,5 +172,5 @@ func (r *Result) ProbMarked(place string, min int) (float64, error) {
 		}
 		return true
 	})
-	return p, nil
+	return p, r.graph.Err()
 }

@@ -54,7 +54,7 @@ type Options struct {
 	// Quarantine is the consecutive-failure count at which a worker
 	// slot is taken out of rotation and its spans redistributed across
 	// the surviving slots — without charging the spans' retry budgets.
-	// 0 means DefaultQuarantine; negative disables quarantining.
+	// A value <= 0 means DefaultQuarantine.
 	Quarantine int
 }
 

@@ -12,7 +12,7 @@
 package dist
 
 // DefaultQuarantine is the consecutive-failure threshold at which a
-// worker slot is quarantined when Options.Quarantine is zero.
+// worker slot is quarantined when Options.Quarantine is not positive.
 const DefaultQuarantine = 3
 
 type slotHealth struct {
@@ -24,12 +24,12 @@ type slotHealth struct {
 // Callers serialize access (the dispatcher holds its own lock).
 type healthTracker struct {
 	slots     []slotHealth
-	threshold int // consecutive failures before quarantine; <= 0 disables
+	threshold int // consecutive failures before quarantine
 	active    int // slots still taking work
 }
 
 func newHealthTracker(slots, quarantine int) *healthTracker {
-	if quarantine == 0 {
+	if quarantine <= 0 {
 		quarantine = DefaultQuarantine
 	}
 	return &healthTracker{
@@ -47,7 +47,7 @@ func (h *healthTracker) ok(slot int) { h.slots[slot].consec = 0 }
 func (h *healthTracker) fail(slot int) (quarantinedNow bool) {
 	s := &h.slots[slot]
 	s.consec++
-	if h.threshold > 0 && !s.quarantined && s.consec >= h.threshold {
+	if !s.quarantined && s.consec >= h.threshold {
 		s.quarantined = true
 		h.active--
 		return true

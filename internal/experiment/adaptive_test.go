@@ -177,6 +177,8 @@ func TestAdaptiveValidation(t *testing.T) {
 		"batch zero":     {func(a *AdaptiveOptions) { a.Batch = 0 }, "Batch"},
 		"relci zero":     {func(a *AdaptiveOptions) { a.RelCI = 0 }, "RelCI"},
 		"relci negative": {func(a *AdaptiveOptions) { a.RelCI = -0.1 }, "RelCI"},
+		"relci inf":      {func(a *AdaptiveOptions) { a.RelCI = math.Inf(1) }, "RelCI"},
+		"relci nan":      {func(a *AdaptiveOptions) { a.RelCI = math.NaN() }, "RelCI"},
 		"unknown metric": {func(a *AdaptiveOptions) { a.Metric = "nope" }, "metric"},
 		"empty metric":   {func(a *AdaptiveOptions) { a.Metric = "" }, "metric"},
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/reach"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // ReachBackend is the exhaustive reachability engine. The zero value
@@ -108,12 +109,17 @@ func (w *reachWorker) RunCell(ctx context.Context, in CellInput) (CellOutcome, e
 		return CellOutcome{}, err
 	}
 	defer g.Close()
+	return w.cell(g, in.Header)
+}
+
+// cell reads the metrics off a built graph.
+func (w *reachWorker) cell(g *reach.Graph, header trace.Header) (CellOutcome, error) {
 	out := CellOutcome{
 		Values: make([]float64, len(w.evals)),
 		// Deterministic cells carry an empty accumulator: records then
 		// encode, journal, merge and assemble exactly like simulation
 		// cells, with every statistic zero.
-		Stats: stats.New(in.Header),
+		Stats: stats.New(header),
 		Run:   sim.Result{},
 	}
 	for i, eval := range w.evals {
@@ -122,6 +128,11 @@ func (w *reachWorker) RunCell(ctx context.Context, in CellInput) (CellOutcome, e
 			return CellOutcome{}, err
 		}
 		out.Values[i] = v
+	}
+	// A spill read that failed mid-scan leaves a figure computed from
+	// a partial or zeroed state space; the store's error says so.
+	if err := g.Err(); err != nil {
+		return CellOutcome{}, err
 	}
 	return out, nil
 }

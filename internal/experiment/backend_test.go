@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,7 +14,9 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/modelgen"
 	"repro/internal/petri"
+	"repro/internal/pipeline"
 	"repro/internal/reach"
+	"repro/internal/trace"
 )
 
 // TestSimBackendExplicitMatchesDefault: naming the sim backend
@@ -198,6 +203,20 @@ func TestCellMetaEngine(t *testing.T) {
 	if !simMeta.SameGrid(&legacy) {
 		t.Error("absent engine != explicit sim")
 	}
+	renamed := simMeta
+	renamed.Format, renamed.Net, renamed.Version = "", "other", 1
+	if !simMeta.SameGrid(&renamed) {
+		t.Error("informational fields entered the grid identity")
+	}
+	// The identity is the encoded grid, as the server's cache key hashes
+	// it: an axis value -0 is not 0 there, so it is not 0 here either.
+	negZero := simMeta
+	negZero.Axes = []Axis{{Name: "DHitRatio", Values: []float64{math.Copysign(0, -1), 0.9}}, simMeta.Axes[1]}
+	zero := negZero
+	zero.Axes = []Axis{{Name: "DHitRatio", Values: []float64{0, 0.9}}, simMeta.Axes[1]}
+	if negZero.SameGrid(&zero) {
+		t.Error("axis value -0 compared equal to 0")
+	}
 
 	opt := reachOptions(1)
 	opt.Backend = ReachBackend{Opt: reach.Options{MaxStates: 777, BoundCap: 33, Shards: 4}}
@@ -286,5 +305,64 @@ func TestReachBackendThroughCellStream(t *testing.T) {
 		if rec.Run.Clock != 0 || rec.Run.Starts != 0 || rec.Run.Ends != 0 || rec.Run.Final != nil {
 			t.Errorf("cell %d carries a non-zero run summary: %+v", rec.Cell, rec.Run)
 		}
+	}
+}
+
+// truncateSpill empties every spill temp file in dir, as a disk that
+// lost them would: later reads of spilled rows then fail.
+func truncateSpill(t *testing.T, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) == 0 {
+		t.Fatalf("no spill file in %s (%v)", dir, err)
+	}
+	for _, e := range ents {
+		if err := os.Truncate(filepath.Join(dir, e.Name()), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSpillReadErrorFailsCell: when the spill file of a built graph
+// cannot be read back, a reach cell and an analytic reader fail with
+// the store's error instead of reporting a figure computed from zeroed
+// markings or a scan cut short.
+func TestSpillReadErrorFailsCell(t *testing.T) {
+	ctx := context.Background()
+	net := modelgen.DeepPipeline(8, 5, 1)
+
+	dir := t.TempDir()
+	g, err := reach.Build(ctx, net, reach.Options{SpillBudget: 1, SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if g.SpilledBytes() == 0 {
+		t.Fatalf("%d-state graph never spilled", len(g.Nodes))
+	}
+	opt := reachOptions(1)
+	opt.Metrics = []Metric{NamedMetric("states"), NamedMetric("bound(s0)")}
+	bw, err := opt.Backend.NewWorker(&opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncateSpill(t, dir)
+	if out, err := bw.(*reachWorker).cell(g, trace.Header{}); err == nil {
+		t.Errorf("reach cell over an unreadable spill file = %v, want an error", out.Values)
+	}
+
+	timed, err := pipeline.SweepProcessor(false, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	r, err := analytic.Evaluate(ctx, timed, reach.Options{SpillBudget: 1, SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	truncateSpill(t, dir)
+	if u, err := r.Utilization("Bus_busy"); err == nil {
+		t.Errorf("Utilization over an unreadable spill file = %g, want an error", u)
 	}
 }

@@ -56,12 +56,12 @@ type CellMeta struct {
 	// Adaptive pins the CI-targeted stopping rule of an adaptive sweep
 	// (cell-record v2); nil for fixed-replication sweeps. Resuming a
 	// journal under a changed stopping rule would silently reshape the
-	// grid, so SameGrid compares it.
+	// grid, so it is part of the grid identity.
 	Adaptive *AdaptiveOptions `json:"adaptive,omitempty"`
 	// Engine names the backend that computed the cells (cell-record
 	// v3); empty means "sim". Cells from different engines are never
-	// interchangeable, so SameGrid compares it — which also keys the
-	// server's content-addressed cache per engine.
+	// interchangeable, so it is part of the grid identity — which also
+	// keys the server's content-addressed cache per engine.
 	Engine string `json:"engine,omitempty"`
 	// MaxStates and BoundCap pin the state-space controls of the
 	// exhaustive engines (zero for sim): a reach cell's values depend
@@ -108,49 +108,30 @@ func (m *CellMeta) Check() error {
 	return nil
 }
 
-// SameGrid reports whether two metas describe the same sweep: equal
-// engine, axes, replication count, seed schedule, simulation length or
-// state-space pins, metric set and adaptive stopping rule. Net names
-// are informational and not compared; an empty engine equals "sim", so
-// pre-v3 streams compare correctly.
+// Grid returns the meta's grid identity: the meta with its
+// informational fields (format tag, version, net name) blanked and the
+// default engine spelled "", so pre-v3 streams compare equal to v3
+// ones. The JSON encoding of the identity is what SameGrid compares and
+// what the server's result cache hashes, so a field added to CellMeta
+// takes part in both with no further code.
+func (m CellMeta) Grid() CellMeta {
+	m.Format, m.Net, m.Version = "", "", 0
+	if m.Engine == "sim" {
+		m.Engine = ""
+	}
+	return m
+}
+
+// SameGrid reports whether two metas describe the same sweep: whether
+// their Grid identities encode to the same JSON. A meta that does not
+// encode (a non-finite axis value or stopping target) matches nothing.
 func (m *CellMeta) SameGrid(o *CellMeta) bool {
-	eng, oeng := m.Engine, o.Engine
-	if eng == "" {
-		eng = "sim"
-	}
-	if oeng == "" {
-		oeng = "sim"
-	}
-	if eng != oeng || m.MaxStates != o.MaxStates || m.BoundCap != o.BoundCap {
+	a, err := json.Marshal(m.Grid())
+	if err != nil {
 		return false
 	}
-	if m.Reps != o.Reps || m.BaseSeed != o.BaseSeed || m.Cells != o.Cells ||
-		m.Horizon != o.Horizon || m.MaxStarts != o.MaxStarts ||
-		len(m.Axes) != len(o.Axes) || len(m.Metrics) != len(o.Metrics) {
-		return false
-	}
-	if (m.Adaptive == nil) != (o.Adaptive == nil) {
-		return false
-	}
-	if m.Adaptive != nil && *m.Adaptive != *o.Adaptive {
-		return false
-	}
-	for i := range m.Axes {
-		if m.Axes[i].Name != o.Axes[i].Name || len(m.Axes[i].Values) != len(o.Axes[i].Values) {
-			return false
-		}
-		for j := range m.Axes[i].Values {
-			if m.Axes[i].Values[j] != o.Axes[i].Values[j] {
-				return false
-			}
-		}
-	}
-	for i := range m.Metrics {
-		if m.Metrics[i] != o.Metrics[i] {
-			return false
-		}
-	}
-	return true
+	b, err := json.Marshal(o.Grid())
+	return err == nil && bytes.Equal(a, b)
 }
 
 // cellJSON is the wire form of one CellRecord line.

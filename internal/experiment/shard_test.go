@@ -49,6 +49,9 @@ func TestParseAxisRange(t *testing.T) {
 		{in: "X=a:5:1", err: "bad value"},
 		{in: "X=0:1:nan", err: "bad value"},
 		{in: "X=0:inf:1", err: "bad value"},
+		{in: "x=NaN", err: "bad value"},
+		{in: "x=Inf", err: "bad value"},
+		{in: "x=1,-Inf", err: "bad value"},
 		{in: "X=0:1e9:0.001", err: "over"},
 		{in: "X=0:1e19:1", err: "over"},
 		{in: "X=-1e308:1e308:1", err: "over"},

@@ -230,8 +230,8 @@ func (o *SweepOptions) Validate() error {
 		if a.Batch < 1 {
 			return fmt.Errorf("experiment: adaptive Batch must be at least 1, got %d", a.Batch)
 		}
-		if !(a.RelCI > 0) {
-			return fmt.Errorf("experiment: adaptive RelCI must be positive, got %g", a.RelCI)
+		if !(a.RelCI > 0) || math.IsInf(a.RelCI, 1) {
+			return fmt.Errorf("experiment: adaptive RelCI must be positive and finite, got %g", a.RelCI)
 		}
 		found := false
 		names := make([]string, len(o.Metrics))
@@ -351,7 +351,8 @@ func (r *SweepResult) MetricNames() []string {
 //	Depth=10:2:-2                  (descending: negative step)
 //
 // Range endpoints are inclusive up to a small floating-point tolerance;
-// values are computed as lo + i*step (no error accumulation).
+// values are computed as lo + i*step (no error accumulation). Every
+// value must be finite: NaN and ±Inf are rejected.
 func ParseAxis(s string) (Axis, error) {
 	name, list, ok := strings.Cut(s, "=")
 	name = strings.TrimSpace(name)
@@ -376,7 +377,7 @@ func ParseAxis(s string) (Axis, error) {
 			continue
 		}
 		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return Axis{}, fmt.Errorf("experiment: axis %q: bad value %q", name, part)
 		}
 		ax.Values = append(ax.Values, v)

@@ -136,6 +136,13 @@ func (g *Graph) StoreBytes() int { return g.store.Bytes() }
 // than in memory (0 without a spill budget).
 func (g *Graph) SpilledBytes() int64 { return g.store.spilled }
 
+// Err returns the first read or decode error the marking store hit
+// since it was opened. A spilled row that cannot be read back yields a
+// zeroed marking, a scan cut short or a zero Advance, so a caller that
+// reads markings of a spilling graph after the build must check Err
+// before it trusts a figure. It is always nil without a spill budget.
+func (g *Graph) Err() error { return g.store.Err() }
+
 // Close releases the marking store's resources (its spill temp
 // file). The graph must not be used afterwards. Safe on a nil-store
 // graph and idempotent.

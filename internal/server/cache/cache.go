@@ -7,11 +7,12 @@
 // identical simulations and render byte-identical bodies, so the
 // second one is served from memory and costs nothing.
 //
-// The key reuses experiment.CellMeta as the grid normalization — the
-// exact structure the distributed journal uses to decide "same sweep"
-// (CellMeta.SameGrid) — so the cache can never conflate grids the
-// coordinator would distinguish, and an axis written 0:1:0.5 keys
-// equal to the same axis written 0,0.5,1 (both expand before hashing).
+// The key hashes the grid identity of experiment.CellMeta — the one
+// normalization (CellMeta.Grid) whose JSON encoding the distributed
+// journal compares to decide "same sweep" (CellMeta.SameGrid) — so the
+// cache can never conflate grids the coordinator would distinguish,
+// and an axis written 0:1:0.5 keys equal to the same axis written
+// 0,0.5,1 (both expand before hashing).
 package cache
 
 import (
@@ -28,19 +29,19 @@ import (
 // identifies the normalized model (see sweepcli.ModelInfo: the net's
 // canonical hash, or the built-in family name); meta pins the expanded
 // grid, seed layout, stopping rule and metric set; format names the
-// rendering. The meta's informational fields (Net name, format tag,
-// version) are excluded, exactly as SameGrid ignores them.
+// rendering. The meta enters as its grid identity (CellMeta.Grid), the
+// same normalization SameGrid compares, so its informational fields
+// (net name, format tag, version) are excluded.
 func Key(modelDigest string, meta experiment.CellMeta, format string) string {
-	meta.Format, meta.Net = "", ""
-	meta.Version = 0
 	blob, err := json.Marshal(struct {
 		V     string              `json:"v"`
 		Model string              `json:"model"`
 		Grid  experiment.CellMeta `json:"grid"`
 		Fmt   string              `json:"format"`
-	}{V: "pnut-result-key-v1", Model: modelDigest, Grid: meta, Fmt: format})
+	}{V: "pnut-result-key-v1", Model: modelDigest, Grid: meta.Grid(), Fmt: format})
 	if err != nil {
-		// CellMeta is plain data; marshalling cannot fail.
+		// A resolved spec holds only finite numbers (ParseAxis and the
+		// adaptive rule reject the rest), so this cannot fail.
 		panic("cache: marshalling result key: " + err.Error())
 	}
 	sum := sha256.Sum256(blob)

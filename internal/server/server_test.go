@@ -471,6 +471,10 @@ func TestSubmitValidation(t *testing.T) {
 			http.StatusBadRequest},
 		"negative spill budget": {`{"model":"cache","axes":["DHitRatio=0,1"],"engine":"reach","spillBudget":-1}`,
 			http.StatusBadRequest},
+		"NaN axis value": {`{"model":"cache","axes":["DHitRatio=NaN"],"reps":2,"horizon":500,"throughput":["Issue"]}`,
+			http.StatusBadRequest},
+		"infinite adaptive target": {`{"model":"cache","axes":["DHitRatio=0.5"],"adaptive":"throughput(Issue):Inf","minReps":2,"maxReps":4,"throughput":["Issue"]}`,
+			http.StatusBadRequest},
 		"store field": {`{"model":"cache","axes":["DHitRatio=0,1"],"engine":"reach","store":"spill"}`,
 			http.StatusBadRequest},
 		"body too big": {fmt.Sprintf(`{"net":%q,"throughput":["Issue"]}`, strings.Repeat("x", 600)),

@@ -63,18 +63,26 @@ func (f *EngineFlags) RegisterState(fs *flag.FlagSet) {
 	fs.IntVar(&f.MaxStates, "max-states", 0, "state-space cap per exploration (0 = 100000)")
 	fs.IntVar(&f.BoundCap, "bound-cap", 0, "flag a place as potentially unbounded past this token count (0 = 4096)")
 	fs.IntVar(&f.Explore, "explore-shards", 0, "exploration goroutines per state-space build (0 = GOMAXPROCS,\nat most 256; never affects results)")
-	fs.Func("spill-budget", "budget in `bytes` for the state rows an exploration keeps in memory:\npast it the oldest blocks of rows spill to a temp file, while the\nnewest level stays in memory (0 = keep every row in memory, the\ndefault). Results are bit-identical for every budget", func(v string) error {
-		n, err := strconv.ParseInt(v, 0, 64)
-		if err != nil {
-			return err
-		}
-		if n < 0 {
-			return errors.New("must be at least 0")
-		}
-		f.SpillBudget = n
-		return nil
-	})
+	fs.Var((*byteBudget)(&f.SpillBudget), "spill-budget", "budget in `bytes` for the state rows an exploration keeps in memory:\npast it the oldest blocks of rows spill to a temp file, while the\nnewest level stays in memory (0 = keep every row in memory, the\ndefault). Results are bit-identical for every budget")
 	fs.StringVar(&f.SpillDir, "spill-dir", "", "directory for the spill temp file (empty = the system temp dir)")
+}
+
+// byteBudget is the -spill-budget value: a byte count of at least 0.
+type byteBudget int64
+
+func (b *byteBudget) String() string { return strconv.FormatInt(int64(*b), 10) }
+
+// Set parses v as an integer in any Go base prefix, rejecting negatives.
+func (b *byteBudget) Set(v string) error {
+	n, err := strconv.ParseInt(v, 0, 64)
+	if err != nil {
+		return err
+	}
+	if n < 0 {
+		return errors.New("must be at least 0")
+	}
+	*b = byteBudget(n)
+	return nil
 }
 
 // ReachOptions is the single constructor of reach.Options from the
@@ -89,37 +97,6 @@ func (f *EngineFlags) ReachOptions() reach.Options {
 		SpillBudget: f.SpillBudget,
 		SpillDir:    f.SpillDir,
 	}
-}
-
-// Args reconstructs the flag list that reproduces the group; empty for
-// the default simulation engine.
-func (f *EngineFlags) Args() []string {
-	var args []string
-	if f.Engine != "" && f.Engine != "sim" {
-		args = append(args, "-engine", f.Engine)
-	}
-	if f.MaxStates != 0 {
-		args = append(args, "-max-states", strconv.Itoa(f.MaxStates))
-	}
-	if f.BoundCap != 0 {
-		args = append(args, "-bound-cap", strconv.Itoa(f.BoundCap))
-	}
-	if f.Explore != 0 {
-		args = append(args, "-explore-shards", strconv.Itoa(f.Explore))
-	}
-	if f.SpillBudget != 0 {
-		args = append(args, "-spill-budget", strconv.FormatInt(f.SpillBudget, 10))
-	}
-	if f.SpillDir != "" {
-		args = append(args, "-spill-dir", f.SpillDir)
-	}
-	for _, p := range f.Bounds {
-		args = append(args, "-bound", p)
-	}
-	for _, c := range f.Checks {
-		args = append(args, "-ctl", c)
-	}
-	return args
 }
 
 // applyEngine resolves the engine choice into opt's metrics, backend

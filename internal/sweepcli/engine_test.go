@@ -91,22 +91,6 @@ func TestSpecEngines(t *testing.T) {
 	}
 }
 
-// TestSpecFromConfigEngine: the projection carries the engine group,
-// and a sim config stays clean of engine fields.
-func TestSpecFromConfigEngine(t *testing.T) {
-	c := parseConfig(t, "-model", "cache", "-axis", "DHitRatio=0,1",
-		"-engine", "reach", "-max-states", "5000", "-bound", "Bus_busy")
-	s := SpecFromConfig(c)
-	if s.Engine != "reach" || s.MaxStates != 5000 || len(s.Bound) != 1 {
-		t.Errorf("projected spec lost the engine group: %+v", s)
-	}
-	c = parseConfig(t, "-model", "cache", "-axis", "DHitRatio=0,1", "-throughput", "Issue")
-	s = SpecFromConfig(c)
-	if s.Engine != "" || s.MaxStates != 0 || s.Bound != nil || s.Ctl != nil {
-		t.Errorf("sim projection carries engine fields: %+v", s)
-	}
-}
-
 // TestCrossOptionsAndValidate: the sim+analytic mode derives two
 // aligned sweeps from one config and the diff agrees on a net whose
 // exact solution the simulator tracks.
@@ -228,7 +212,7 @@ func TestEngineStoreFlags(t *testing.T) {
 	}
 
 	// The declarative surface carries the same group: spec -> flags ->
-	// options agrees with the CLI, and the projection keeps it.
+	// options agrees with the CLI.
 	spec := Spec{
 		Model: "cache", Axes: []string{"DHitRatio=0,1"},
 		Engine: "reach", SpillBudget: 4096, SpillDir: "/tmp/x",
@@ -245,11 +229,6 @@ func TestEngineStoreFlags(t *testing.T) {
 	if !sameGrid(t, got, want) {
 		t.Fatalf("spec store grid differs from flag grid:\nspec: %+v\ncli:  %+v",
 			experiment.MetaOf(got, ""), experiment.MetaOf(want, ""))
-	}
-	c := parseConfig(t, "-model", "cache", "-axis", "DHitRatio=0,1",
-		"-engine", "reach", "-spill-budget", "4096", "-spill-dir", "/tmp/x")
-	if s := SpecFromConfig(c); s.SpillBudget != 4096 || s.SpillDir != "/tmp/x" {
-		t.Errorf("projected spec lost the spill group: %+v", s)
 	}
 	badSpec := Spec{Model: "cache", Engine: "reach", SpillBudget: -1}
 	if _, _, err := badSpec.Resolve(); err == nil {

@@ -6,8 +6,6 @@ import (
 	"io"
 	"reflect"
 	"testing"
-
-	"repro/internal/experiment"
 )
 
 // configSpec projects every spec-visible field of a parsed Config into
@@ -108,9 +106,8 @@ func parseFlags(args []string) (*Config, *flag.FlagSet, error) {
 // Nothing may panic. A flag list that parses must bind every value to
 // its own flag, so the parsed Config holds exactly the fields the spec
 // sets and the flag defaults elsewhere; a list that does not parse
-// must make Resolve fail. A spec that resolves must resolve to the
-// same grid and model after a round trip through SpecFromConfig, the
-// projection CLI-shaped tooling submits.
+// must make Resolve fail. A parsed Config must come back unchanged
+// through WorkerArgs, the flag list pnut-grid ships to its workers.
 func FuzzSpec(f *testing.F) {
 	for _, s := range []string{
 		`{}`,
@@ -123,6 +120,7 @@ func FuzzSpec(f *testing.F) {
 		`{"model":"-reps","seed":-5,"axes":["-x"],"throughput":["-horizon"]}`,
 		`{"engine":"sim+analytic","throughput":["Issue"]}`,
 		`{"reps":-1,"throughput":["Issue"]}`,
+		`{"model":"cache","axes":["DHitRatio=0.5,NaN"],"throughput":["Issue"]}`,
 		`{"model":"cache","axes":["DHitRatio=0:999999:1,0:999999:1,0:999999:1,0:999999:1,0:999999:1,0:999999:1,0:999999:1,0:999999:1"],"throughput":["Issue"]}`,
 		`{"model":"cache","axes":["DHitRatio=0:65535:1","IHitRatio=0:65535:1","MemoryCycles=0:65535:1","HitCycles=0:65535:1"],"throughput":["Issue"]}`,
 	} {
@@ -138,7 +136,7 @@ func FuzzSpec(f *testing.F) {
 		if json.Unmarshal(data, &s) != nil {
 			return
 		}
-		opt, info, rerr := s.Resolve()
+		_, _, rerr := s.Resolve()
 		c, fs, err := parseFlags(s.Flags())
 		if err != nil {
 			if rerr == nil {
@@ -156,18 +154,12 @@ func FuzzSpec(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("flags %q parse to\n%+v\nwant\n%+v", s.Flags(), got, want)
 		}
-		if rerr != nil {
-			return
-		}
-		back := SpecFromConfig(c)
-		back.Net, back.Format = s.Net, s.Format
-		opt2, info2, err := back.Resolve()
+		w, _, err := parseFlags(c.WorkerArgs(c.Parallel))
 		if err != nil {
-			t.Fatalf("spec %+v resolved, its SpecFromConfig projection %+v fails: %v", s, back, err)
+			t.Fatalf("worker args %q do not parse: %v", c.WorkerArgs(c.Parallel), err)
 		}
-		m, m2 := experiment.MetaOf(opt, info.Name), experiment.MetaOf(opt2, info2.Name)
-		if !m.SameGrid(&m2) || info != info2 {
-			t.Fatalf("SpecFromConfig round trip changed the job:\n%+v %+v\n%+v %+v", m, info, m2, info2)
+		if !reflect.DeepEqual(w, c) {
+			t.Fatalf("worker args %q parse to\n%+v\nwant\n%+v", c.WorkerArgs(c.Parallel), w, c)
 		}
 	})
 }

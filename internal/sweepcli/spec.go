@@ -201,36 +201,3 @@ func (s *Spec) Resolve() (experiment.SweepOptions, ModelInfo, error) {
 	}
 	return opt, info, nil
 }
-
-// SpecFromConfig projects a parsed CLI config back into the spec form
-// (minus the model source when -net pointed at a file): the inverse
-// direction of Resolve, used to keep tooling that submits CLI-shaped
-// sweeps to the server on the one shared surface.
-func SpecFromConfig(c *Config) Spec {
-	s := Spec{
-		Model:       c.Model,
-		Axes:        append([]string(nil), c.Axes...),
-		Reps:        c.Reps,
-		Seed:        c.Seed,
-		Horizon:     c.Horizon,
-		MaxStarts:   c.MaxStarts,
-		Adaptive:    c.Adaptive,
-		Throughput:  append([]string(nil), c.Throughputs...),
-		Utilization: append([]string(nil), c.Utilizations...),
-		Parallel:    c.Parallel,
-	}
-	if c.Adaptive != "" {
-		s.MinReps, s.MaxReps, s.Batch = c.MinReps, c.MaxReps, c.Batch
-	}
-	if c.Engine != "" && c.Engine != "sim" {
-		s.Engine = c.Engine
-		s.MaxStates = c.EngineFlags.MaxStates
-		s.BoundCap = c.BoundCap
-		s.ExploreShards = c.Explore
-		s.SpillBudget = c.SpillBudget
-		s.SpillDir = c.SpillDir
-		s.Bound = append([]string(nil), c.Bounds...)
-		s.Ctl = append([]string(nil), c.Checks...)
-	}
-	return s
-}

@@ -173,30 +173,6 @@ trans start
 	}
 }
 
-// TestSpecFromConfigRoundTrip pins the inverse direction: a parsed CLI
-// config projected to a spec resolves back to the identical grid.
-func TestSpecFromConfigRoundTrip(t *testing.T) {
-	c := parseConfig(t,
-		"-model", "cache",
-		"-axis", "DHitRatio=0.5,0.9",
-		"-reps", "7", "-seed", "3", "-horizon", "1200",
-		"-throughput", "Issue",
-	)
-	want, _, err := c.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := SpecFromConfig(c)
-	got, _, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameGrid(t, got, want) {
-		t.Fatalf("round-tripped grid differs:\nspec: %+v\ncli:  %+v",
-			experiment.MetaOf(got, ""), experiment.MetaOf(want, ""))
-	}
-}
-
 // TestSpecErrors surfaces the flag layer's own validation.
 func TestSpecErrors(t *testing.T) {
 	cases := map[string]Spec{

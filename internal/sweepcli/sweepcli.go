@@ -4,10 +4,12 @@
 // registered by pnut-sim, pnut-exp, pnut-sweep and pnut-grid from the
 // same definitions, so the tools cannot drift apart in spelling,
 // defaults or help text. Config composes the groups into the full sweep
-// shape the pnut-sweep worker and the pnut-grid coordinator share;
-// WorkerArgs is the inverse of Config.Register, which guarantees the
-// coordinator launches workers whose grid — axes, seed schedule,
-// metrics — is exactly its own.
+// shape the pnut-sweep worker and the pnut-grid coordinator share.
+// WorkerArgs is the inverse of Config.Register by construction: it
+// renders the very flags Register installs, each from its current
+// value, so the coordinator launches workers whose grid — axes, seed
+// schedule, metrics, engine — is exactly its own, and a new flag
+// reaches the workers with no code beyond its Register line.
 package sweepcli
 
 import (
@@ -64,15 +66,6 @@ func (f *RunFlags) SimOptions() sim.Options {
 	return sim.Options{Horizon: f.Horizon, MaxStarts: f.MaxStarts, Seed: f.Seed}
 }
 
-// Args reconstructs the flag list that reproduces the group.
-func (f *RunFlags) Args() []string {
-	return []string{
-		"-horizon", strconv.FormatInt(f.Horizon, 10),
-		"-max-starts", strconv.FormatInt(f.MaxStarts, 10),
-		"-seed", strconv.FormatInt(f.Seed, 10),
-	}
-}
-
 // AdaptiveFlags is the CI-targeted stopping group: Adaptive is the
 // "metric:relci" spec, empty for fixed-replication runs.
 type AdaptiveFlags struct {
@@ -122,20 +115,6 @@ func (f *AdaptiveFlags) Options() (*experiment.AdaptiveOptions, error) {
 	}, nil
 }
 
-// Args reconstructs the flag list that reproduces the group; empty when
-// -adaptive is unset.
-func (f *AdaptiveFlags) Args() []string {
-	if f.Adaptive == "" {
-		return nil
-	}
-	return []string{
-		"-adaptive", f.Adaptive,
-		"-min-reps", strconv.Itoa(f.MinReps),
-		"-max-reps", strconv.Itoa(f.MaxReps),
-		"-batch", strconv.Itoa(f.Batch),
-	}
-}
-
 // MetricFlags is the repeatable metric-selector group.
 type MetricFlags struct {
 	Throughputs  Repeated
@@ -158,18 +137,6 @@ func (f *MetricFlags) Metrics() []experiment.Metric {
 		metrics = append(metrics, experiment.Utilization(p))
 	}
 	return metrics
-}
-
-// Args reconstructs the flag list that reproduces the group.
-func (f *MetricFlags) Args() []string {
-	var args []string
-	for _, tr := range f.Throughputs {
-		args = append(args, "-throughput", tr)
-	}
-	for _, u := range f.Utilizations {
-		args = append(args, "-utilization", u)
-	}
-	return args
 }
 
 // FaultFlags is the coordinator's fault-tolerance group: how hard a
@@ -288,28 +255,27 @@ func (c *Config) optionsWith(build func(experiment.Point) (*petri.Net, error)) (
 	return opt, nil
 }
 
-// WorkerArgs reconstructs the flag list that reproduces this sweep
-// shape in a worker pnut-sweep process, with the worker's goroutine
-// count overridden to parallel. It is the inverse of Register, so the
-// coordinator and its workers cannot drift apart.
+// WorkerArgs renders this sweep shape as the flag list of a worker
+// pnut-sweep process, with the worker's goroutine count overridden to
+// parallel. It registers a fresh Config, copies c into it and renders
+// every registered flag as -name=value (a repeatable flag once per
+// element), so it is the inverse of Register by construction.
 func (c *Config) WorkerArgs(parallel int) []string {
+	var w Config
+	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
+	w.Register(fs)
+	w = *c
+	w.Parallel = parallel
 	var args []string
-	if c.Net != "" {
-		args = append(args, "-net", c.Net)
-	} else {
-		args = append(args, "-model", c.Model)
-	}
-	args = append(args, c.RunFlags.Args()...)
-	args = append(args,
-		"-reps", strconv.Itoa(c.Reps),
-		"-parallel", strconv.Itoa(parallel),
-	)
-	args = append(args, c.AdaptiveFlags.Args()...)
-	for _, a := range c.Axes {
-		args = append(args, "-axis", a)
-	}
-	args = append(args, c.MetricFlags.Args()...)
-	args = append(args, c.EngineFlags.Args()...)
+	fs.VisitAll(func(f *flag.Flag) {
+		if r, ok := f.Value.(*Repeated); ok {
+			for _, v := range *r {
+				args = append(args, "-"+f.Name+"="+v)
+			}
+			return
+		}
+		args = append(args, "-"+f.Name+"="+f.Value.String())
+	})
 	return args
 }
 

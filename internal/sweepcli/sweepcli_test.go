@@ -9,11 +9,41 @@ import (
 	"repro/internal/dist"
 )
 
+// everyFlag sets every flag Config.Register installs to a value other
+// than its default.
+var everyFlag = Config{
+	Model: "cache", Net: "testdata/pipeline.pn", Reps: 7, Parallel: 5,
+	RunFlags:      RunFlags{Horizon: 1234, MaxStarts: 9, Seed: 42},
+	AdaptiveFlags: AdaptiveFlags{Adaptive: "throughput(Issue):0.05", MinReps: 3, MaxReps: 24, Batch: 2},
+	MetricFlags: MetricFlags{
+		Throughputs:  Repeated{"Issue", "-horizon"},
+		Utilizations: Repeated{"Bus_busy"},
+	},
+	EngineFlags: EngineFlags{
+		Engine: "reach", MaxStates: 5000, BoundCap: 64, Explore: 2,
+		SpillBudget: 1 << 20, SpillDir: "/tmp/spill dir",
+		Bounds: Repeated{"p1", "p2"}, Checks: Repeated{"AG !deadlock", ""},
+	},
+	Axes: Repeated{"DHitRatio=0:1:0.25", "MemoryCycles=1,5,12"},
+}
+
 // TestWorkerArgsRoundTrip pins the lockstep contract: parsing
-// WorkerArgs through Register reproduces the originating config, so a
+// WorkerArgs through Register reproduces the originating config
+// exactly, bar the goroutine count WorkerArgs overrides, so a
 // coordinator's workers always see its exact sweep shape.
 func TestWorkerArgsRoundTrip(t *testing.T) {
+	fs := flag.NewFlagSet("defaults", flag.ContinueOnError)
+	var probe Config
+	probe.Register(fs)
+	probe = everyFlag
+	fs.VisitAll(func(f *flag.Flag) {
+		if f.Value.String() == f.DefValue {
+			t.Errorf("everyFlag leaves -%s at its default %q", f.Name, f.DefValue)
+		}
+	})
+
 	cfgs := []Config{
+		everyFlag,
 		{
 			Model: "cache", RunFlags: RunFlags{Horizon: 1234, MaxStarts: 9, Seed: 42}, Reps: 7,
 			Axes: Repeated{"DHitRatio=0:1:0.25", "MemoryCycles=1,5,12"},
@@ -58,17 +88,6 @@ func TestWorkerArgsRoundTrip(t *testing.T) {
 			t.Fatalf("worker args do not parse: %v", err)
 		}
 		want.Parallel = 3 // WorkerArgs overrides the goroutine count
-		if want.Adaptive == "" {
-			// The adaptive shape flags are only shipped (and only
-			// meaningful) with -adaptive; a fixed-rep worker parses their
-			// defaults.
-			want.MinReps, want.MaxReps = 4, 64
-		}
-		if want.Engine == "" {
-			// -engine is only shipped when it differs from the default;
-			// a sim worker parses the registered default back.
-			want.Engine = "sim"
-		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip changed the config:\n got %+v\nwant %+v", got, want)
 		}
