@@ -2,13 +2,22 @@ package integration_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/server"
+	"repro/internal/sweepcli"
 )
 
 // gridArgs is the reference sweep the golden fixtures pin (see
@@ -248,5 +257,63 @@ exec %q "$@"
 	}
 	if !bytes.Equal(stdout.Bytes(), want) {
 		t.Errorf("retried adaptive pnut-grid differs from pnut-sweep:\n%s", stdout.String())
+	}
+}
+
+// TestServerDistributedMatchesInProcess holds pnut-server's
+// distributed path to its in-process one: a server that fans jobs out
+// over two pnut-sweep worker processes must serve the very bytes of a
+// server that runs them itself — for an adaptive spec whose rule has
+// shell metacharacters, an inline-net reach spec and a spec that
+// leaves the goroutine count to the server.
+func TestServerDistributedMatchesInProcess(t *testing.T) {
+	bins := buildTools(t, "pnut-sweep")
+	mutex, err := os.ReadFile(testdataPath(t, "mutex.pn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []sweepcli.Spec{
+		{Model: "cache", Axes: []string{"DHitRatio=0.5,0.9"}, Seed: 5, Horizon: 600,
+			Adaptive: "throughput(Issue):0.05", MinReps: 3, MaxReps: 9, Batch: 2,
+			Throughput: []string{"Issue"}, Parallel: 2},
+		{Net: string(mutex), Engine: "reach", Bound: []string{"lock"},
+			Ctl: []string{"AG(EF({crit_a == 1}))"}, Format: "table"},
+		{Model: "cache", Axes: []string{"MemoryCycles=1,5"}, Reps: 3, Seed: 11, Horizon: 800,
+			Throughput: []string{"Issue"}, Utilization: []string{"Bus_busy"}, Format: "json"},
+	}
+	serve := func(workerCmd string) []string {
+		s := server.New(server.Config{Workers: 1, WorkerCmd: workerCmd, Procs: 2})
+		s.Start()
+		ts := httptest.NewServer(s.Handler())
+		defer func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			s.Drain(ctx)
+		}()
+		var bodies []string
+		for _, spec := range specs {
+			blob, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", bytes.NewReader(blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("worker cmd %q, spec %s: status %d, %v\n%s", workerCmd, blob, resp.StatusCode, err, body)
+			}
+			bodies = append(bodies, string(body))
+		}
+		return bodies
+	}
+	want, got := serve(""), serve(bins["pnut-sweep"])
+	for i := range specs {
+		if got[i] != want[i] {
+			t.Errorf("spec %d: distributed body\n%s\nin-process body\n%s", i, got[i], want[i])
+		}
 	}
 }
