@@ -30,22 +30,13 @@ import (
 	"repro/internal/sweepcli"
 )
 
-type repeated []string
-
-func (r *repeated) String() string { return strings.Join(*r, ", ") }
-
-func (r *repeated) Set(v string) error {
-	*r = append(*r, v)
-	return nil
-}
-
 func main() {
 	netPath := flag.String("net", "", "path to the .pn net description (required)")
 	timed := flag.Bool("timed", false, "build the timed reachability graph (constant delays only)")
 	coverability := flag.Bool("coverability", false, "run Karp-Miller coverability (no inhibitor arcs)")
 	var ef sweepcli.EngineFlags
 	ef.RegisterState(flag.CommandLine)
-	var checks, invariants repeated
+	var checks, invariants sweepcli.Repeated
 	flag.Var(&checks, "check", "temporal-logic formula, e.g. 'AG({p + q == 1})' (repeatable)")
 	flag.Var(&invariants, "invariant", "P-invariant 'place=weight,place=weight' (repeatable)")
 	flag.Parse()
@@ -62,6 +53,20 @@ func main() {
 	net, err := ptl.Parse(string(src))
 	if err != nil {
 		fatal(err)
+	}
+	// Every formula and invariant is parsed before the build, so a bad
+	// one costs no exploration and leaves no spill file behind.
+	weights := make([]map[string]int, len(invariants))
+	for i, inv := range invariants {
+		if weights[i], err = parseInvariant(inv); err != nil {
+			fatal(err)
+		}
+	}
+	formulas := make([]reach.Formula, len(checks))
+	for i, c := range checks {
+		if formulas[i], err = reach.ParseFormula(c); err != nil {
+			fatal(err)
+		}
 	}
 	opt := ef.ReachOptions()
 
@@ -101,12 +106,8 @@ func main() {
 	} else {
 		fmt.Print(g.Summary())
 	}
-	for _, inv := range invariants {
-		weights, err := parseInvariant(inv)
-		if err != nil {
-			fatal(err)
-		}
-		v, err := g.CheckInvariant(weights)
+	for i, inv := range invariants {
+		v, err := g.CheckInvariant(weights[i])
 		if err != nil {
 			fmt.Printf("INVARIANT FAILS  %s: %v\n", inv, err)
 			continue
@@ -115,12 +116,8 @@ func main() {
 	}
 
 	failed := false
-	for _, c := range checks {
-		f, err := reach.ParseFormula(c)
-		if err != nil {
-			fatal(err)
-		}
-		if reach.Holds(g, f) {
+	for i, c := range checks {
+		if reach.Holds(g, formulas[i]) {
 			fmt.Printf("HOLDS  %s\n", c)
 		} else {
 			fmt.Printf("FAILS  %s\n", c)

@@ -180,6 +180,23 @@ func TestCLIReachTimedFlags(t *testing.T) {
 	}
 }
 
+// TestCLIReachBadQueryLeavesNoSpill: a malformed -check or -invariant
+// fails the run with exit 1 and leaves the spill directory empty.
+func TestCLIReachBadQueryLeavesNoSpill(t *testing.T) {
+	bins := buildTools(t, "pnut-reach")
+	for _, bad := range [][]string{{"-check", "AG(("}, {"-invariant", "lock"}} {
+		dir := t.TempDir()
+		err := exec.Command(bins["pnut-reach"], append([]string{"-net", testdataPath(t, "pipeline.pn"),
+			"-max-states", "5000", "-spill-budget", "1024", "-spill-dir", dir}, bad...)...).Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("pnut-reach %q: err %v, want exit status 1", bad, err)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("pnut-reach %q left %d files in the spill dir", bad, len(left))
+		}
+	}
+}
+
 // TestCLIAnimator renders a short animation from a stored trace file.
 func TestCLIAnimator(t *testing.T) {
 	bins := buildTools(t, "pnut-sim", "pnut-anim")

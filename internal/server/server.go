@@ -267,25 +267,31 @@ func (s *Server) runSweep(ctx context.Context, j *Job) ([]byte, string, int64, e
 }
 
 // runDist executes the job through the distributed coordinator. The
-// worker command gets the job's own sweep flags (the same rendering
-// Resolve parsed), plus a temp -net file when the model was inline
-// source; the coordinator appends the per-span -cells/-emit flags.
+// worker command gets the job's sweep flags rendered by
+// Config.WorkerArgs, as pnut-grid renders its own, with an inline net
+// staged to a temp -net file; the coordinator appends the per-span
+// -cells/-emit flags.
 func (s *Server) runDist(ctx context.Context, run *jobRun, opt experiment.SweepOptions, onCell func()) (*experiment.SweepResult, error) {
-	argv := append(strings.Fields(s.cfg.WorkerCmd), run.spec.Flags()...)
+	c, err := run.spec.Config()
+	if err != nil {
+		return nil, err
+	}
 	if run.spec.Net != "" {
 		f, err := os.CreateTemp("", "pnut-server-*.pn")
 		if err != nil {
 			return nil, fmt.Errorf("staging inline net: %w", err)
 		}
-		if _, err := f.WriteString(run.spec.Net); err != nil {
-			f.Close()
-			os.Remove(f.Name())
+		defer os.Remove(f.Name())
+		_, err = f.WriteString(run.spec.Net)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return nil, fmt.Errorf("staging inline net: %w", err)
 		}
-		f.Close()
-		defer os.Remove(f.Name())
-		argv = append(argv, "-net", f.Name())
+		c.Net = f.Name()
 	}
+	argv := append(strings.Fields(s.cfg.WorkerCmd), c.WorkerArgs(opt.Workers)...)
 	meta := run.meta
 	base, err := dist.NewExecRunner(argv, &meta, s.cfg.Log)
 	if err != nil {

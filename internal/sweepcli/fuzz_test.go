@@ -3,92 +3,38 @@ package sweepcli
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 )
 
-// configSpec projects every spec-visible field of a parsed Config into
-// the Spec form, whatever the engine.
-func configSpec(c *Config) Spec {
-	return Spec{
-		Model:         c.Model,
-		Axes:          c.Axes,
-		Reps:          c.Reps,
-		Seed:          c.Seed,
-		Horizon:       c.Horizon,
-		MaxStarts:     c.MaxStarts,
-		Adaptive:      c.Adaptive,
-		MinReps:       c.MinReps,
-		MaxReps:       c.MaxReps,
-		Batch:         c.Batch,
-		Throughput:    c.Throughputs,
-		Utilization:   c.Utilizations,
-		Engine:        c.Engine,
-		MaxStates:     c.EngineFlags.MaxStates,
-		BoundCap:      c.BoundCap,
-		ExploreShards: c.Explore,
-		Bound:         c.Bounds,
-		Ctl:           c.Checks,
-		SpillBudget:   c.SpillBudget,
-		SpillDir:      c.SpillDir,
-		Parallel:      c.Parallel,
+// specFlags calls fn with each Spec field that names a flag in its
+// tag: the flag's name and the field's value.
+func specFlags(s *Spec, fn func(name string, v reflect.Value)) {
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Tag.Get("flag"); name != "" {
+			fn(name, v.Field(i))
+		}
 	}
 }
 
-// nilEmpty maps an empty list to nil: a spec's [] and an unset flag
-// both mean "none".
-func nilEmpty(s []string) []string {
-	if len(s) == 0 {
-		return nil
+// TestSpecTagsCoverFlags: the flags Config.Register installs are
+// exactly the Spec's flag tags plus -net, whose spec form is inline
+// source, so a sweep flag the JSON surface lacks fails here.
+func TestSpecTagsCoverFlags(t *testing.T) {
+	_, fs, _ := parseFlags(nil)
+	var registered []string
+	fs.VisitAll(func(f *flag.Flag) { registered = append(registered, f.Name) })
+	tagged := []string{"net"}
+	specFlags(&Spec{}, func(name string, _ reflect.Value) { tagged = append(tagged, name) })
+	sort.Strings(tagged)
+	if !reflect.DeepEqual(registered, tagged) {
+		t.Fatalf("Register installs %q, the Spec tags plus net name %q", registered, tagged)
 	}
-	return s
-}
-
-// specWant is the Config view a spec's flag list must parse to: the
-// flag defaults, overridden by every field the spec sets and Flags
-// renders.
-func specWant(s *Spec, def Spec) Spec {
-	w := def
-	if s.Net == "" && s.Model != "" {
-		w.Model = s.Model
-	}
-	set := func(dst *int64, v int64) {
-		if v != 0 {
-			*dst = v
-		}
-	}
-	seti := func(dst *int, v int) {
-		if v != 0 {
-			*dst = v
-		}
-	}
-	sets := func(dst *string, v string) {
-		if v != "" {
-			*dst = v
-		}
-	}
-	w.Axes = nilEmpty(s.Axes)
-	seti(&w.Reps, s.Reps)
-	set(&w.Seed, s.Seed)
-	set(&w.Horizon, s.Horizon)
-	set(&w.MaxStarts, s.MaxStarts)
-	if s.Adaptive != "" {
-		w.Adaptive = s.Adaptive
-		seti(&w.MinReps, s.MinReps)
-		seti(&w.MaxReps, s.MaxReps)
-		seti(&w.Batch, s.Batch)
-	}
-	w.Throughput, w.Utilization = nilEmpty(s.Throughput), nilEmpty(s.Utilization)
-	sets(&w.Engine, s.Engine)
-	seti(&w.MaxStates, s.MaxStates)
-	seti(&w.BoundCap, s.BoundCap)
-	seti(&w.ExploreShards, s.ExploreShards)
-	w.Bound, w.Ctl = nilEmpty(s.Bound), nilEmpty(s.Ctl)
-	set(&w.SpillBudget, s.SpillBudget)
-	sets(&w.SpillDir, s.SpillDir)
-	seti(&w.Parallel, s.Parallel)
-	return w
 }
 
 // parseFlags parses args through Config.Register on a fresh FlagSet.
@@ -102,12 +48,11 @@ func parseFlags(args []string) (*Config, *flag.FlagSet, error) {
 }
 
 // FuzzSpec takes job specs, decoded from JSON as the server decodes a
-// job body, through Spec.Flags, Config.Register and Spec.Resolve.
-// Nothing may panic. A flag list that parses must bind every value to
-// its own flag, so the parsed Config holds exactly the fields the spec
-// sets and the flag defaults elsewhere; a list that does not parse
-// must make Resolve fail. A parsed Config must come back unchanged
-// through WorkerArgs, the flag list pnut-grid ships to its workers.
+// job body, through Spec.Resolve and Spec.Config. Nothing may panic.
+// When Config succeeds, every tagged flag must read back the field's
+// value when the field is set and the flag's default when it is not,
+// and the Config must come back unchanged through WorkerArgs, the flag
+// list pnut-grid and the server's distributed path ship to workers.
 func FuzzSpec(f *testing.F) {
 	for _, s := range []string{
 		`{}`,
@@ -126,39 +71,35 @@ func FuzzSpec(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
-	def, _, err := parseFlags(nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	defaults := configSpec(def)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Spec
 		if json.Unmarshal(data, &s) != nil {
 			return
 		}
-		_, _, rerr := s.Resolve()
-		c, fs, err := parseFlags(s.Flags())
+		s.Resolve() // must not panic; it fails whenever Config does
+		c, err := s.Config()
 		if err != nil {
-			if rerr == nil {
-				t.Fatalf("flags %q do not parse (%v), but the spec resolved", s.Flags(), err)
-			}
 			return
 		}
-		if fs.NArg() != 0 {
-			t.Fatalf("flags %q left arguments %q unparsed", s.Flags(), fs.Args())
-		}
-		got, want := configSpec(c), specWant(&s, defaults)
-		for _, l := range []*[]string{&got.Axes, &got.Throughput, &got.Utilization, &got.Bound, &got.Ctl} {
-			*l = nilEmpty(*l)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("flags %q parse to\n%+v\nwant\n%+v", s.Flags(), got, want)
-		}
+		bound, fs, _ := parseFlags(nil)
+		*bound = c
+		specFlags(&s, func(name string, v reflect.Value) {
+			want := fs.Lookup(name).DefValue
+			if !v.IsZero() {
+				want = fmt.Sprint(v.Interface())
+				if l, ok := v.Interface().([]string); ok {
+					want = strings.Join(l, ", ")
+				}
+			}
+			if got := fs.Lookup(name).Value.String(); got != want {
+				t.Fatalf("spec %+v sets -%s to %q, want %q", s, name, got, want)
+			}
+		})
 		w, _, err := parseFlags(c.WorkerArgs(c.Parallel))
 		if err != nil {
 			t.Fatalf("worker args %q do not parse: %v", c.WorkerArgs(c.Parallel), err)
 		}
-		if !reflect.DeepEqual(w, c) {
+		if !reflect.DeepEqual(w, &c) {
 			t.Fatalf("worker args %q parse to\n%+v\nwant\n%+v", c.WorkerArgs(c.Parallel), w, c)
 		}
 	})

@@ -2,17 +2,16 @@
 // job body the simulation server accepts over HTTP describes exactly
 // the grid the CLIs describe with flags. To guarantee the two surfaces
 // cannot drift apart — in defaults, spellings or validation — a spec is
-// not interpreted directly: Resolve renders it to its pnut-sweep flag
-// list and parses that through Config.Register on a fresh FlagSet, so
-// an omitted spec field inherits the flag's default and a bad value
-// fails with the flag's own error.
+// not interpreted directly: each field names its pnut-sweep flag in a
+// `flag` struct tag, and Config sets those flags on a FlagSet that
+// Config.Register installed, so an omitted spec field inherits the
+// flag's default and a bad value fails with the flag's own error.
 package sweepcli
 
 import (
 	"flag"
 	"fmt"
-	"io"
-	"strconv"
+	"reflect"
 
 	"repro/internal/experiment"
 	"repro/internal/petri"
@@ -26,52 +25,52 @@ type Spec struct {
 	// Model selects a built-in model (pipeline or cache); Net carries
 	// inline .pn source and overrides Model, exactly as -net overrides
 	// -model on the CLIs.
-	Model string `json:"model,omitempty"`
+	Model string `json:"model,omitempty" flag:"model"`
 	Net   string `json:"net,omitempty"`
 
 	// Axes are swept parameters in the CLI's textual axis form:
 	// "Name=v1,v2,..." or "Name=lo:hi:step" (forms mix freely).
-	Axes []string `json:"axes,omitempty"`
+	Axes []string `json:"axes,omitempty" flag:"axis"`
 
-	Reps      int   `json:"reps,omitempty"`
-	Seed      int64 `json:"seed,omitempty"`
-	Horizon   int64 `json:"horizon,omitempty"`
-	MaxStarts int64 `json:"maxStarts,omitempty"`
+	Reps      int   `json:"reps,omitempty" flag:"reps"`
+	Seed      int64 `json:"seed,omitempty" flag:"seed"`
+	Horizon   int64 `json:"horizon,omitempty" flag:"horizon"`
+	MaxStarts int64 `json:"maxStarts,omitempty" flag:"max-starts"`
 
 	// Adaptive is the CI-targeted stopping rule as "metric:relci";
 	// MinReps/MaxReps/Batch shape its rounds (zero = flag default).
-	Adaptive string `json:"adaptive,omitempty"`
-	MinReps  int    `json:"minReps,omitempty"`
-	MaxReps  int    `json:"maxReps,omitempty"`
-	Batch    int    `json:"batch,omitempty"`
+	Adaptive string `json:"adaptive,omitempty" flag:"adaptive"`
+	MinReps  int    `json:"minReps,omitempty" flag:"min-reps"`
+	MaxReps  int    `json:"maxReps,omitempty" flag:"max-reps"`
+	Batch    int    `json:"batch,omitempty" flag:"batch"`
 
-	Throughput  []string `json:"throughput,omitempty"`
-	Utilization []string `json:"utilization,omitempty"`
+	Throughput  []string `json:"throughput,omitempty" flag:"throughput"`
+	Utilization []string `json:"utilization,omitempty" flag:"utilization"`
 
 	// Engine selects the grid engine: sim (the default), reach or
 	// analytic. The cross-validation mode sim+analytic is CLI-only and
 	// rejected here, exactly as pnut-grid rejects it.
-	Engine string `json:"engine,omitempty"`
+	Engine string `json:"engine,omitempty" flag:"engine"`
 	// MaxStates/BoundCap bound the exhaustive engines' state space per
 	// grid point (0 = the reach defaults); ExploreShards is the reach
 	// engine's per-cell parallelism (never affects results). Bound and
 	// Ctl are the reach engine's metric selectors.
-	MaxStates     int      `json:"maxStates,omitempty"`
-	BoundCap      int      `json:"boundCap,omitempty"`
-	ExploreShards int      `json:"exploreShards,omitempty"`
-	Bound         []string `json:"bound,omitempty"`
-	Ctl           []string `json:"ctl,omitempty"`
+	MaxStates     int      `json:"maxStates,omitempty" flag:"max-states"`
+	BoundCap      int      `json:"boundCap,omitempty" flag:"bound-cap"`
+	ExploreShards int      `json:"exploreShards,omitempty" flag:"explore-shards"`
+	Bound         []string `json:"bound,omitempty" flag:"bound"`
+	Ctl           []string `json:"ctl,omitempty" flag:"ctl"`
 	// SpillBudget (0 = every row in memory) and SpillDir let the
 	// exhaustive engines' jobs whose state space exceeds RAM complete
 	// by spilling rows to a temp file. Results are bit-identical for
 	// every budget.
-	SpillBudget int64  `json:"spillBudget,omitempty"`
-	SpillDir    string `json:"spillDir,omitempty"`
+	SpillBudget int64  `json:"spillBudget,omitempty" flag:"spill-budget"`
+	SpillDir    string `json:"spillDir,omitempty" flag:"spill-dir"`
 
 	// Parallel caps the job's worker goroutines (0 = server default;
 	// never affects results). Format selects the result rendering:
 	// csv (default), table or json. Neither enters the sweep grid.
-	Parallel int    `json:"parallel,omitempty"`
+	Parallel int    `json:"parallel,omitempty" flag:"parallel"`
 	Format   string `json:"format,omitempty"`
 }
 
@@ -84,92 +83,42 @@ type ModelInfo struct {
 	Digest string
 }
 
-// Flags renders the spec as its pnut-sweep flag list, omitting flags
-// for zero-valued fields so they keep the registered defaults. The
-// model source is included as -model only; inline Net source has no
-// flag form and is resolved separately by Resolve.
-func (s *Spec) Flags() []string {
-	var args []string
-	if s.Net == "" && s.Model != "" {
-		args = append(args, "-model", s.Model)
-	}
-	for _, a := range s.Axes {
-		args = append(args, "-axis", a)
-	}
-	if s.Reps != 0 {
-		args = append(args, "-reps", strconv.Itoa(s.Reps))
-	}
-	if s.Seed != 0 {
-		args = append(args, "-seed", strconv.FormatInt(s.Seed, 10))
-	}
-	if s.Horizon != 0 {
-		args = append(args, "-horizon", strconv.FormatInt(s.Horizon, 10))
-	}
-	if s.MaxStarts != 0 {
-		args = append(args, "-max-starts", strconv.FormatInt(s.MaxStarts, 10))
-	}
-	if s.Adaptive != "" {
-		args = append(args, "-adaptive", s.Adaptive)
-		if s.MinReps != 0 {
-			args = append(args, "-min-reps", strconv.Itoa(s.MinReps))
+// Config sets a fresh Config from the spec: each non-zero field with
+// a flag tag is set on a FlagSet that Config.Register installed, a
+// list field once per element, so an omitted field keeps the flag's
+// default and a bad value fails with the flag's own error. Net has no
+// tag: a spec carries inline source, not a path, which Resolve parses.
+func (s *Spec) Config() (Config, error) {
+	var c Config
+	fs := flag.NewFlagSet("spec", flag.ContinueOnError)
+	c.Register(fs)
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Tag.Get("flag"), v.Field(i)
+		if name == "" || f.IsZero() {
+			continue
 		}
-		if s.MaxReps != 0 {
-			args = append(args, "-max-reps", strconv.Itoa(s.MaxReps))
+		vals, ok := f.Interface().([]string)
+		if !ok {
+			vals = []string{fmt.Sprint(f.Interface())}
 		}
-		if s.Batch != 0 {
-			args = append(args, "-batch", strconv.Itoa(s.Batch))
+		for _, val := range vals {
+			if err := fs.Set(name, val); err != nil {
+				return Config{}, fmt.Errorf("invalid value %q for flag -%s: %v", val, name, err)
+			}
 		}
 	}
-	for _, tr := range s.Throughput {
-		args = append(args, "-throughput", tr)
-	}
-	for _, u := range s.Utilization {
-		args = append(args, "-utilization", u)
-	}
-	if s.Engine != "" {
-		args = append(args, "-engine", s.Engine)
-	}
-	if s.MaxStates != 0 {
-		args = append(args, "-max-states", strconv.Itoa(s.MaxStates))
-	}
-	if s.BoundCap != 0 {
-		args = append(args, "-bound-cap", strconv.Itoa(s.BoundCap))
-	}
-	if s.ExploreShards != 0 {
-		args = append(args, "-explore-shards", strconv.Itoa(s.ExploreShards))
-	}
-	if s.SpillBudget != 0 {
-		args = append(args, "-spill-budget", strconv.FormatInt(s.SpillBudget, 10))
-	}
-	if s.SpillDir != "" {
-		args = append(args, "-spill-dir", s.SpillDir)
-	}
-	for _, p := range s.Bound {
-		args = append(args, "-bound", p)
-	}
-	for _, f := range s.Ctl {
-		args = append(args, "-ctl", f)
-	}
-	if s.Parallel != 0 {
-		args = append(args, "-parallel", strconv.Itoa(s.Parallel))
-	}
-	return args
+	return c, nil
 }
 
 // Resolve expands the spec into sweep options plus the model identity,
-// by round-tripping through the real CLI flag surface (see the package
-// comment of this file). The returned options are validated the same
+// through Config and the same option assembly pnut-sweep uses (see the
+// package comment of this file). The returned options are validated the same
 // way pnut-sweep validates its command line.
 func (s *Spec) Resolve() (experiment.SweepOptions, ModelInfo, error) {
-	fs := flag.NewFlagSet("spec", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	var c Config
-	c.Register(fs)
-	if err := fs.Parse(s.Flags()); err != nil {
+	c, err := s.Config()
+	if err != nil {
 		return experiment.SweepOptions{}, ModelInfo{}, fmt.Errorf("spec: %w", err)
-	}
-	if args := fs.Args(); len(args) > 0 {
-		return experiment.SweepOptions{}, ModelInfo{}, fmt.Errorf("spec: unexpected arguments %q", args)
 	}
 
 	var (

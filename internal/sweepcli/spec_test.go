@@ -1,8 +1,6 @@
 package sweepcli
 
 import (
-	"flag"
-	"io"
 	"strings"
 	"testing"
 
@@ -12,14 +10,11 @@ import (
 // parseConfig runs a flag list through the real Register surface.
 func parseConfig(t *testing.T, args ...string) *Config {
 	t.Helper()
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	var c Config
-	c.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	c, _, err := parseFlags(args)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &c
+	return c
 }
 
 func sameGrid(t *testing.T, a, b experiment.SweepOptions) bool {

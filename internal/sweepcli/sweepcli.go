@@ -7,9 +7,11 @@
 // shape the pnut-sweep worker and the pnut-grid coordinator share.
 // WorkerArgs is the inverse of Config.Register by construction: it
 // renders the very flags Register installs, each from its current
-// value, so the coordinator launches workers whose grid — axes, seed
-// schedule, metrics, engine — is exactly its own, and a new flag
-// reaches the workers with no code beyond its Register line.
+// value, so a coordinator — pnut-grid, or pnut-server's distributed
+// path — launches workers whose grid (axes, seed schedule, metrics,
+// engine) is exactly its own. The JSON Spec names each flag once, in
+// a struct tag that Spec.Config sets, so a new sweep flag needs its
+// Register line and one tagged Spec field, and no other code.
 package sweepcli
 
 import (

@@ -32,10 +32,8 @@ var everyFlag = Config{
 // exactly, bar the goroutine count WorkerArgs overrides, so a
 // coordinator's workers always see its exact sweep shape.
 func TestWorkerArgsRoundTrip(t *testing.T) {
-	fs := flag.NewFlagSet("defaults", flag.ContinueOnError)
-	var probe Config
-	probe.Register(fs)
-	probe = everyFlag
+	probe, fs, _ := parseFlags(nil)
+	*probe = everyFlag
 	fs.VisitAll(func(f *flag.Flag) {
 		if f.Value.String() == f.DefValue {
 			t.Errorf("everyFlag leaves -%s at its default %q", f.Name, f.DefValue)
@@ -81,14 +79,12 @@ func TestWorkerArgsRoundTrip(t *testing.T) {
 		},
 	}
 	for _, want := range cfgs {
-		var got Config
-		fs := flag.NewFlagSet("worker", flag.ContinueOnError)
-		got.Register(fs)
-		if err := fs.Parse(want.WorkerArgs(3)); err != nil {
+		got, _, err := parseFlags(want.WorkerArgs(3))
+		if err != nil {
 			t.Fatalf("worker args do not parse: %v", err)
 		}
 		want.Parallel = 3 // WorkerArgs overrides the goroutine count
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(*got, want) {
 			t.Errorf("round trip changed the config:\n got %+v\nwant %+v", got, want)
 		}
 	}
