@@ -81,7 +81,7 @@ func Evaluate(ctx context.Context, net *petri.Net, opt Options) (r *Result, err 
 	}
 	rows, sojourn, err := embeddedChain(net, g)
 	if err == nil {
-		err = g.Err() // a failed spill read zeroes an Advance
+		err = g.Err() // a failed spill read cuts the sojourn walk short
 	}
 	if err != nil {
 		return nil, err

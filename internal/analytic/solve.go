@@ -32,10 +32,10 @@ func embeddedChain(net *petri.Net, g *reach.Graph) ([][]entry, []float64, error)
 	flat := make([]entry, 0, edges)
 	rows := make([][]entry, n)
 	sojourn := make([]float64, n)
+	g.EachAdvance(func(i int, delta petri.Time) { sojourn[i] = float64(delta) })
 	for i, node := range g.Nodes {
 		start := len(flat)
 		if len(node.Out) == 1 && node.Out[0].Trans == reach.TimeAdvance {
-			sojourn[i] = float64(g.Advance(i))
 			flat = append(flat, entry{to: node.Out[0].To, p: 1})
 		} else {
 			total := 0.0

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/petri"
@@ -60,9 +61,12 @@ func twoLoopsNet(t *testing.T) *petri.Net {
 	return b.MustBuild()
 }
 
-func mutexNet(t *testing.T) *petri.Net {
+func mutexNet(t *testing.T) *petri.Net { return fixtureNet(t, "mutex.pn") }
+
+// fixtureNet parses a net of the repository's testdata directory.
+func fixtureNet(t *testing.T, name string) *petri.Net {
 	t.Helper()
-	src, err := os.ReadFile("../../testdata/mutex.pn")
+	src, err := os.ReadFile("../../testdata/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,6 +271,32 @@ func TestSolveDeterministic(t *testing.T) {
 			if got != want[i] {
 				t.Errorf("shards %d: figure %d = %v, want %v", shards, i, got, want[i])
 			}
+		}
+	}
+}
+
+// TestEvaluateSpillMatchesMem: a solve whose timed graph spills reads
+// the same rows back, so its result equals the in-memory one exactly.
+func TestEvaluateSpillMatchesMem(t *testing.T) {
+	net := fixtureNet(t, "pipeline.pn")
+	mem := evaluate(t, net, Options{})
+	defer mem.Close()
+	spill := evaluate(t, net, Options{SpillBudget: 1024, SpillDir: t.TempDir()})
+	defer spill.Close()
+	if spill.graph.SpilledBytes() == 0 {
+		t.Fatal("the graph did not spill")
+	}
+	if spill.States != mem.States || spill.MeanSojourn != mem.MeanSojourn {
+		t.Fatalf("spilling: %d states, mean sojourn %v; in memory %d, %v",
+			spill.States, spill.MeanSojourn, mem.States, mem.MeanSojourn)
+	}
+	if !slices.Equal(spill.pi, mem.pi) || !slices.Equal(spill.timeShare, mem.timeShare) {
+		t.Fatal("spilling: stationary distributions differ from the in-memory solve")
+	}
+	want := figures(t, net, mem)
+	for i, got := range figures(t, net, spill) {
+		if got != want[i] {
+			t.Errorf("spilling: figure %d = %v, in memory %v", i, got, want[i])
 		}
 	}
 }

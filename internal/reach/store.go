@@ -206,16 +206,21 @@ func (s *rowStore) Span(lo, hi int, fn func(id int, m petri.Marking, row []byte)
 		return
 	}
 	m := make(petri.Marking, s.places)
-	if lo < s.base && !s.visit(lo, min(hi, s.base), func(id int, row []byte) bool {
+	s.rows(lo, hi, func(id int, row []byte) bool {
 		readMarking(row, m)
 		return fn(id, m, row)
-	}) {
+	})
+}
+
+// rows calls fn for each id in [lo, hi) in order with its row, which fn
+// must not retain or modify. Returning false stops the iteration.
+// Spilled rows are read a block at a time.
+func (s *rowStore) rows(lo, hi int, fn func(id int, row []byte) bool) {
+	if lo < s.base && !s.visit(lo, min(hi, s.base), fn) {
 		return
 	}
 	for id := max(lo, s.base); id < hi; id++ {
-		row := s.resident(id)
-		readMarking(row, m)
-		if !fn(id, m, row) {
+		if !fn(id, s.resident(id)) {
 			return
 		}
 	}

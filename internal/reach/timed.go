@@ -80,6 +80,26 @@ func (g *Graph) Advance(id int) petri.Time {
 	return delta
 }
 
+// EachAdvance calls fn, in id order, for each node of a timed graph
+// whose edge is a TimeAdvance, with the amount that edge moves the
+// clock: Advance for every such node in one walk over the rows, which
+// reads a spilled store a block at a time where Advance reads a whole
+// block per node. It calls fn for no node of an untimed graph. A failed
+// spill read ends the walk early; the store's error sticks (see Err).
+func (g *Graph) EachAdvance(fn func(id int, delta petri.Time)) {
+	if !g.timed {
+		return
+	}
+	places := g.Net.NumPlaces()
+	g.store.rows(0, len(g.Nodes), func(id int, row []byte) bool {
+		if out := g.Nodes[id].Out; len(out) == 1 && out[0].Trans == TimeAdvance {
+			delta, _ := rowAdvance(row, places)
+			fn(id, delta)
+		}
+		return true
+	})
+}
+
 // constDelay extracts a constant delay, rejecting distributions.
 func constDelay(d petri.Delay, kind, trans string) (petri.Time, error) {
 	v, ok := constOf(d)

@@ -462,9 +462,8 @@ func (cr *ColReader) Next() (Record, error) {
 			return Record{}, err
 		}
 	}
-	rec := cr.recs[cr.next]
 	cr.next++
-	return rec, nil
+	return cr.recs[cr.next-1], nil
 }
 
 // readBlock reads the next block: either discarding it via the skip
@@ -575,6 +574,10 @@ type cursor struct {
 }
 
 func (c *cursor) uvarint() (uint64, bool) {
+	if c.pos < len(c.buf) && c.buf[c.pos] < 0x80 { // almost every value in a block
+		c.pos++
+		return uint64(c.buf[c.pos-1]), true
+	}
 	v, n := binary.Uvarint(c.buf[c.pos:])
 	if n <= 0 {
 		return 0, false
@@ -627,7 +630,9 @@ func (cr *ColReader) decodeBlock(n int, body []byte) error {
 			return cr.errf("times stream truncated at record %d", i)
 		}
 		t += unzigzag(dt)
-		rec := Record{Kind: Kind(kinds[i]), Time: t}
+		// Fill the record in place: every field is set, or reset, here.
+		rec := &cr.recs[i]
+		*rec = Record{Kind: Kind(kinds[i]), Time: t}
 		switch rec.Kind {
 		case Initial:
 			m := make(petri.Marking, len(cr.h.Places))
@@ -685,7 +690,6 @@ func (cr *ColReader) decodeBlock(n int, body []byte) error {
 		default:
 			return cr.errf("unknown record kind %q at record %d", byte(rec.Kind), i)
 		}
-		cr.recs[i] = rec
 	}
 	for _, s := range [...]struct {
 		name string

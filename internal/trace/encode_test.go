@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -189,7 +190,10 @@ func BenchmarkWriter(b *testing.B) {
 }
 
 // BenchmarkReader measures the text decode path, mirroring
-// BenchmarkWriter: the shared benchmark trace decoded record by record.
+// BenchmarkWriter: the shared benchmark trace decoded record by record,
+// as Writer emits it and as a person might type it (handwritten: tabs,
+// signs and comments), which the event-line decoder leaves to the
+// general parser.
 func BenchmarkReader(b *testing.B) {
 	h, recs := benchTrace(b)
 	var buf bytes.Buffer
@@ -202,21 +206,55 @@ func BenchmarkReader(b *testing.B) {
 	if err := w.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	enc := buf.Bytes()
-	b.SetBytes(int64(len(enc)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := NewReader(bytes.NewReader(enc))
-		n, err := Copy(r, Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != len(recs) {
-			b.Fatalf("decoded %d records, want %d", n, len(recs))
-		}
+	hand := handwritten(buf.Bytes())
+	_, want, err := drainRecords(NewReader(bytes.NewReader(buf.Bytes())))
+	_, got, err2 := drainRecords(NewReader(bytes.NewReader(hand)))
+	if err != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+		b.Fatalf("handwritten trace does not read back as the canonical one: %v, %v", err, err2)
 	}
-	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	for _, in := range []struct {
+		name string
+		enc  []byte
+	}{{"canonical", buf.Bytes()}, {"handwritten", hand}} {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(in.enc)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r := NewReader(bytes.NewReader(in.enc))
+				n, err := Copy(r, Discard)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n != len(recs) {
+					b.Fatalf("decoded %d records, want %d", n, len(recs))
+				}
+			}
+			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
+}
+
+// handwritten rewrites a Writer trace into the same records as a person
+// might type them: record fields separated by tabs, an explicit sign on
+// every time and id, and a comment before every tenth record.
+func handwritten(text []byte) []byte {
+	var out bytes.Buffer
+	for n, line := range strings.Split(strings.TrimSuffix(string(text), "\n"), "\n") {
+		f := strings.Fields(line)
+		switch f[0] {
+		case "I", "S", "E", "F":
+			if n%10 == 0 {
+				out.WriteString("# by hand\n")
+			}
+			f[1] = "+" + f[1]
+			if f[0] != "I" {
+				f[2] = "+" + f[2]
+			}
+			line = strings.Join(f, "\t")
+		}
+		out.WriteString(line + "\n")
+	}
+	return out.Bytes()
 }
 
 // TestWriterErrorIsSticky: after a downstream write error the writer
