@@ -6,16 +6,19 @@
 // contiguous point-major shards; each shard is dispatched as a worker
 // process
 //
-//	<worker-cmd> <sweep flags> -cells lo:hi -emit cells
+//	<worker-cmd> -spec - -cells lo:hi -emit cells
 //
-// whose stdout streams one JSONL cell record per finished cell (see
-// pnut-sweep -emit cells). The worker command is a template: the
-// default spawns pnut-sweep locally (found on $PATH or next to
-// pnut-grid), and a prefix like
+// that reads the job on stdin, as the JSON spec pnut-server accepts,
+// and streams one JSONL cell record per finished cell (see pnut-sweep
+// -emit cells). The coordinator resolves its grid from the same spec
+// and refuses flags it cannot carry, such as -seed 0. The default
+// worker is pnut-sweep (on $PATH or next to pnut-grid), and a prefix
+// like
 //
 //	pnut-grid -worker-cmd 'ssh build2 pnut-sweep' ...
 //
-// runs shards on another machine — the JSONL stream on stdout is the
+// runs shards on another machine — no job value travels as an argument
+// and the -net source travels in the spec, so stdin and stdout are the
 // only interchange, exactly the compose-small-tools-over-pipes
 // philosophy of the suite.
 //
@@ -45,8 +48,8 @@
 package main
 
 import (
-	"bufio"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -68,29 +71,39 @@ func main() {
 	format := flag.String("format", "table", "output format: table or csv")
 	procs := flag.Int("procs", 2, "worker processes (shards); results never depend on it")
 	workerCmd := flag.String("worker-cmd", "pnut-sweep",
-		"worker command template (whitespace-split; sweep flags and -cells/-emit are appended)")
+		"worker command (whitespace-split; gets the job spec on stdin and -spec - -cells lo:hi -emit cells)")
 	journal := flag.String("journal", "", "checkpoint file: cells are journaled as they arrive; an existing journal resumes")
 	verbose := flag.Bool("v", false, "log dispatch progress to stderr")
 	flag.Parse()
 
-	opt, name, err := cfg.Options()
+	spec, lost, err := cfg.Spec()
+	if err != nil {
+		fatal(err)
+	}
+	opt, info, err := spec.Resolve()
+	if err != nil {
+		fatal(err)
+	}
+	name := info.Name
+	meta := experiment.MetaOf(opt, name)
+	if len(lost) > 0 {
+		flagOpt, _, err := cfg.Options()
+		if fm := experiment.MetaOf(flagOpt, name); err != nil || !fm.SameGrid(&meta) {
+			fatal(fmt.Errorf("a job spec cannot carry %s: its zero fields mean the flag defaults", strings.Join(lost, ", ")))
+		}
+	}
+	job, err := json.Marshal(spec)
 	if err != nil {
 		fatal(err)
 	}
 
 	argv := strings.Fields(*workerCmd)
-	if len(argv) == 0 {
-		fatal(fmt.Errorf("empty -worker-cmd"))
+	if len(argv) > 0 {
+		if argv[0], err = resolveWorker(argv[0]); err != nil {
+			fatal(err)
+		}
 	}
-	if resolved, err := resolveWorker(argv[0]); err != nil {
-		fatal(err)
-	} else {
-		argv[0] = resolved
-	}
-	argv = append(argv, cfg.WorkerArgs(cfg.Parallel)...)
-
-	meta := experiment.MetaOf(opt, name)
-	runner, err := dist.NewExecRunner(argv, &meta, os.Stderr)
+	runner, err := dist.NewExecRunner(argv, job, &meta, os.Stderr) // rejects an empty command
 	if err != nil {
 		fatal(err)
 	}
@@ -110,9 +123,7 @@ func main() {
 		fatal(err)
 	}
 
-	out := bufio.NewWriter(os.Stdout)
-	switch *format {
-	case "table":
+	if *format == "table" {
 		if r.Adaptive != nil {
 			fmt.Fprintf(os.Stderr, "pnut-grid: sweep %s: %d points, adaptive %s:%g reps %d..%d (%d total), base seed %d, %d worker processes\n",
 				name, len(r.Points), r.Adaptive.Metric, r.Adaptive.RelCI,
@@ -121,16 +132,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pnut-grid: sweep %s: %d points x %d replications, base seed %d, %d worker processes\n",
 				name, len(r.Points), r.Reps, cfg.Seed, *procs)
 		}
-		err = r.WriteTable(out)
-	case "csv":
-		err = r.WriteCSV(out)
-	default:
-		err = fmt.Errorf("unknown -format %q (want table or csv)", *format)
 	}
-	if err != nil {
-		fatal(err)
-	}
-	if err := out.Flush(); err != nil {
+	if err := sweepcli.Render(os.Stdout, *format, r.WriteTable, r.WriteCSV); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "pnut-grid: %s: points=%d total_reps=%d procs=%d elapsed=%s (%.0f events/s)\n",

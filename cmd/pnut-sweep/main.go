@@ -51,15 +51,15 @@
 // to stderr, so stdout is stable interchange.
 //
 // pnut-sweep is also the worker of the distributed driver (see
-// pnut-grid): with -emit cells it executes only its share of the grid —
-// -shard i/n (1-based) or an explicit cell span -cells lo:hi — and
-// streams one self-describing JSONL cell record per finished cell on
-// stdout. Any shard partition reassembles byte-identically to a single
-// in-process run.
+// pnut-grid): with -emit cells it executes only its share of the grid,
+// the cell span -cells lo:hi, and streams one self-describing JSONL
+// cell record per finished cell on stdout. Any partition into spans
+// reassembles byte-identically to a single in-process run. With -spec
+// the job is one JSON pnut-server job body, from a file or stdin (-),
+// instead of sweep flags: pnut-grid and pnut-server ship jobs so.
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -68,7 +68,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/experiment"
 	"repro/internal/sweepcli"
 )
@@ -78,14 +77,20 @@ func main() {
 	cfg.Register(flag.CommandLine)
 	format := flag.String("format", "table", "output format: table or csv")
 	progress := flag.Bool("progress", false, "log per-cell progress lines to stderr (deterministic cell order)")
-	shard := flag.String("shard", "", "with -emit cells: run shard i/n (1-based) of the cell grid")
+	spec := flag.String("spec", "", "with -emit cells: the whole job as a JSON spec file, as pnut-server takes it (- = stdin)")
 	cells := flag.String("cells", "", "with -emit cells: run only cells lo:hi (0-based, half-open)")
 	emit := flag.String("emit", "", `set to "cells" to stream per-cell JSONL records instead of a merged table`)
 	xtol := flag.Float64("xtol", 0.05, "with -engine sim+analytic: relative tolerance per metric; any grid\npoint whose simulated mean strays further from the exact value fails\nthe run")
 	flag.Parse()
 
+	if *emit != "" && *emit != "cells" {
+		fatal(fmt.Errorf("unknown -emit %q (want cells)", *emit))
+	}
+	if *emit == "" && (*spec != "" || *cells != "") {
+		fatal(fmt.Errorf("-spec and -cells are worker flags and require -emit cells"))
+	}
 	if cfg.Engine == "sim+analytic" {
-		if *emit != "" || *shard != "" || *cells != "" {
+		if *emit != "" {
 			fatal(fmt.Errorf("-engine sim+analytic drives two full sweeps and cannot shard or emit cells"))
 		}
 		if err := crossValidate(&cfg, *format, *xtol); err != nil {
@@ -93,23 +98,19 @@ func main() {
 		}
 		return
 	}
-
-	opt, name, err := cfg.Options()
+	resolve := cfg.Options
+	if *spec != "" {
+		resolve = func() (experiment.SweepOptions, string, error) { return jobSpec(*spec) }
+	}
+	opt, name, err := resolve()
 	if err != nil {
 		fatal(err)
 	}
-
-	if *emit != "" && *emit != "cells" {
-		fatal(fmt.Errorf("unknown -emit %q (want cells)", *emit))
-	}
 	if *emit == "cells" {
-		if err := emitCells(opt, name, *shard, *cells, cfg.Parallel); err != nil {
+		if err := emitCells(opt, name, *cells); err != nil {
 			fatal(err)
 		}
 		return
-	}
-	if *shard != "" || *cells != "" {
-		fatal(fmt.Errorf("-shard/-cells select a partial grid and require -emit cells"))
 	}
 
 	if *progress {
@@ -128,9 +129,7 @@ func main() {
 		fatal(err)
 	}
 
-	out := bufio.NewWriter(os.Stdout)
-	switch *format {
-	case "table":
+	if *format == "table" {
 		if r.Adaptive != nil {
 			fmt.Fprintf(os.Stderr, "pnut-sweep: sweep %s: %d points, adaptive %s:%g reps %d..%d (%d total), base seed %d, %d workers\n",
 				name, len(r.Points), r.Adaptive.Metric, r.Adaptive.RelCI,
@@ -142,16 +141,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pnut-sweep: sweep %s: %d points x %d replications, base seed %d, %d workers\n",
 				name, len(r.Points), r.Reps, cfg.Seed, r.Workers)
 		}
-		err = r.WriteTable(out)
-	case "csv":
-		err = r.WriteCSV(out)
-	default:
-		err = fmt.Errorf("unknown -format %q (want table or csv)", *format)
 	}
-	if err != nil {
-		fatal(err)
-	}
-	if err := out.Flush(); err != nil {
+	if err := sweepcli.Render(os.Stdout, *format, r.WriteTable, r.WriteCSV); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "pnut-sweep: %s: points=%d total_reps=%d workers=%d elapsed=%s (%.0f events/s)\n",
@@ -179,19 +170,7 @@ func crossValidate(cfg *sweepcli.Config, format string, tol float64) error {
 	if err != nil {
 		return err
 	}
-	out := bufio.NewWriter(os.Stdout)
-	switch format {
-	case "table":
-		err = rep.WriteTable(out)
-	case "csv":
-		err = rep.WriteCSV(out)
-	default:
-		err = fmt.Errorf("unknown -format %q (want table or csv)", format)
-	}
-	if err != nil {
-		return err
-	}
-	if err := out.Flush(); err != nil {
+	if err := sweepcli.Render(os.Stdout, format, rep.WriteTable, rep.WriteCSV); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "pnut-sweep: cross-validation %s: %d points, %d metrics, tol %g, %d total sim reps\n",
@@ -202,13 +181,42 @@ func crossValidate(cfg *sweepcli.Config, format string, tol float64) error {
 	return nil
 }
 
+// jobSpec resolves the -spec job document as pnut-server resolves a
+// job body. The document is the whole job.
+func jobSpec(path string) (experiment.SweepOptions, string, error) {
+	var set []string
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name != "spec" && f.Name != "cells" && f.Name != "emit" {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 0 {
+		return experiment.SweepOptions{}, "", fmt.Errorf("-spec carries the whole job; %s cannot be set next to it", strings.Join(set, ", "))
+	}
+	in := os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return experiment.SweepOptions{}, "", err
+		}
+		defer f.Close()
+		in = f
+	}
+	spec, err := sweepcli.DecodeSpec(in)
+	if err != nil {
+		return experiment.SweepOptions{}, "", fmt.Errorf("-spec %s: %w", path, err)
+	}
+	opt, info, err := spec.Resolve()
+	return opt, info.Name, err
+}
+
 // emitCells is worker mode: run one span of the grid, stream cell
 // records on stdout.
-func emitCells(opt experiment.SweepOptions, name, shard, cells string, parallel int) error {
+func emitCells(opt experiment.SweepOptions, name, cells string) error {
 	if err := opt.Validate(); err != nil {
 		return err
 	}
-	span, err := pickSpan(opt.NumCells(), shard, cells)
+	span, err := pickSpan(opt.NumCells(), cells)
 	if err != nil {
 		return err
 	}
@@ -226,60 +234,26 @@ func emitCells(opt experiment.SweepOptions, name, shard, cells string, parallel 
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "pnut-sweep: %s: cells %s of %d, workers=%d elapsed=%s\n",
-		name, span, opt.NumCells(), parallel, time.Since(start).Round(time.Microsecond))
+		name, span, opt.NumCells(), opt.Workers, time.Since(start).Round(time.Microsecond))
 	return nil
 }
 
-// pickSpan resolves the worker's share of the grid: an explicit -cells
-// span, a -shard i/n slot of the canonical plan, or the whole grid. A
-// shard index past the plan (more shards than cells) is an empty span:
-// the worker emits a valid stream with zero records.
-func pickSpan(numCells int, shard, cells string) (dist.Span, error) {
-	switch {
-	case shard != "" && cells != "":
-		return dist.Span{}, fmt.Errorf("-shard and -cells are mutually exclusive")
-	case cells != "":
-		lo, hi, err := splitInts(cells, ":")
-		if err != nil {
-			return dist.Span{}, fmt.Errorf("-cells %q is not lo:hi", cells)
-		}
-		if lo < 0 || hi > numCells || lo >= hi {
-			return dist.Span{}, fmt.Errorf("-cells %d:%d outside grid of %d cells", lo, hi, numCells)
-		}
-		return dist.Span{Lo: lo, Hi: hi}, nil
-	case shard != "":
-		i, n, err := splitInts(shard, "/")
-		if err != nil {
-			return dist.Span{}, fmt.Errorf("-shard %q is not i/n", shard)
-		}
-		if n < 1 || i < 1 || i > n {
-			return dist.Span{}, fmt.Errorf("-shard %d/%d: want 1 <= i <= n", i, n)
-		}
-		plan := dist.PlanShards(numCells, n)
-		if i > len(plan) {
-			return dist.Span{}, nil // more shards than cells: this one is empty
-		}
-		return plan[i-1], nil
-	default:
-		return dist.Span{Lo: 0, Hi: numCells}, nil
+// pickSpan resolves the worker's share of the grid: the -cells span,
+// or the whole grid.
+func pickSpan(numCells int, cells string) (experiment.CellSpan, error) {
+	if cells == "" {
+		return experiment.CellSpan{Lo: 0, Hi: numCells}, nil
 	}
-}
-
-// splitInts parses exactly "a<sep>b" with no trailing garbage.
-func splitInts(s, sep string) (int, int, error) {
-	as, bs, ok := strings.Cut(s, sep)
-	if !ok {
-		return 0, 0, fmt.Errorf("missing %q", sep)
+	los, his, ok := strings.Cut(cells, ":")
+	lo, err1 := strconv.Atoi(los)
+	hi, err2 := strconv.Atoi(his)
+	if !ok || err1 != nil || err2 != nil {
+		return experiment.CellSpan{}, fmt.Errorf("-cells %q is not lo:hi", cells)
 	}
-	a, err := strconv.Atoi(as)
-	if err != nil {
-		return 0, 0, err
+	if lo < 0 || hi > numCells || lo >= hi {
+		return experiment.CellSpan{}, fmt.Errorf("-cells %d:%d outside grid of %d cells", lo, hi, numCells)
 	}
-	b, err := strconv.Atoi(bs)
-	if err != nil {
-		return 0, 0, err
-	}
-	return a, b, nil
+	return experiment.CellSpan{Lo: lo, Hi: hi}, nil
 }
 
 func fatal(err error) {

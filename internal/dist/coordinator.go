@@ -191,7 +191,7 @@ func Execute(ctx context.Context, opt experiment.SweepOptions, copt Options) (*e
 			copt.logf("journal already complete, nothing to dispatch")
 		}
 	} else {
-		missing := MissingSpans(cells, haveCell)
+		missing := experiment.MissingCellSpans(cells, haveCell)
 		if len(missing) == 0 {
 			copt.logf("journal already complete, nothing to dispatch")
 		} else if err := dispatch(missing); err != nil {

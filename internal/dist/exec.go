@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os/exec"
@@ -10,28 +12,29 @@ import (
 )
 
 // NewExecRunner returns a Runner that spawns one worker process per
-// span: the template command (argv[0] plus its fixed arguments — model,
-// axes, seed, metrics, ...) is extended with
+// span: the worker command argv is extended with
 //
-//	-cells lo:hi -emit cells
+//	-spec - -cells lo:hi -emit cells
 //
-// and must write a cell-record stream on stdout. Because the template
-// is ordinary argv, "machines" need no special support: an ssh or
-// container prefix in the template distributes the shard off-host, the
-// JSONL stream on stdout is the only interchange.
+// gets job (the JSON sweepcli.Spec of the sweep) on stdin, and must
+// write a cell-record stream on stdout. No job value travels as an
+// argument, so an ssh or container prefix in argv distributes the
+// shard off-host: stdin and stdout are the only interchange.
 //
 // meta, if non-nil, is checked against each worker's stream meta, so a
-// worker launched with drifted flags (different axes, seed or metrics)
-// is rejected instead of silently corrupting the grid. stderr, if
-// non-nil, receives the workers' stderr (timing lines).
-func NewExecRunner(argv []string, meta *experiment.CellMeta, stderr io.Writer) (Runner, error) {
+// worker whose grid drifted (different axes, seed or metrics) fails the
+// round, as a retry would stream the same meta, instead of silently
+// corrupting the grid. stderr, if non-nil, receives the workers'
+// stderr (timing lines).
+func NewExecRunner(argv []string, job []byte, meta *experiment.CellMeta, stderr io.Writer) (Runner, error) {
 	if len(argv) == 0 || argv[0] == "" {
 		return nil, fmt.Errorf("dist: empty worker command")
 	}
 	return func(ctx context.Context, span Span, emit func(experiment.CellRecord) error) error {
 		args := append(append([]string(nil), argv[1:]...),
-			"-cells", span.String(), "-emit", "cells")
+			"-spec", "-", "-cells", span.String(), "-emit", "cells")
 		cmd := exec.CommandContext(ctx, argv[0], args...)
+		cmd.Stdin = bytes.NewReader(job)
 		isolateWorker(cmd)
 		cmd.Cancel = func() error { return killWorker(cmd) }
 		cmd.Stderr = stderr
@@ -79,7 +82,9 @@ func decodeStream(r io.Reader, span Span, meta *experiment.CellMeta, emit func(e
 	if meta != nil {
 		got := cr.Meta()
 		if !got.SameGrid(meta) {
-			return fmt.Errorf("worker stream describes a different sweep (axes/reps/seed/metrics drifted)")
+			w, _ := json.Marshal(got) // a non-finite value renders empty
+			c, _ := json.Marshal(meta)
+			return permanent(fmt.Errorf("worker stream describes a different sweep: worker grid %s, coordinator grid %s", w, c))
 		}
 	}
 	n := 0

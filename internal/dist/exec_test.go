@@ -1,11 +1,14 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,7 +26,7 @@ func shimRunner(t *testing.T, script string) Runner {
 	if err := os.WriteFile(shim, []byte(script), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	runner, err := NewExecRunner([]string{shim}, nil, nil)
+	runner, err := NewExecRunner([]string{shim}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,5 +87,48 @@ func TestExecRunnerWorkerExitError(t *testing.T) {
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Fatalf("worker exit misattributed to cancellation: %v", err)
+	}
+}
+
+// TestExecRunnerDriftedGridIsPermanent: a worker whose stream describes
+// another grid will stream it again on every retry, so the round must
+// fail on the first dispatch, naming both grids, instead of burning its
+// retry budget and quarantining healthy slots.
+func TestExecRunnerDriftedGridIsPermanent(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("worker shims are shell scripts")
+	}
+	opt := gridOptions(3, 1)
+	drifted := opt
+	drifted.BaseSeed++
+	var stream bytes.Buffer
+	cw, err := experiment.NewCellWriter(&stream, experiment.MetaOf(drifted, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	streamFile, dispatches := filepath.Join(dir, "stream.jsonl"), filepath.Join(dir, "dispatches")
+	if err := os.WriteFile(streamFile, stream.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	shim := filepath.Join(dir, "worker.sh")
+	script := fmt.Sprintf("#!/bin/sh\necho >> %q\ncat %q\n", dispatches, streamFile)
+	if err := os.WriteFile(shim, []byte(script), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	meta := experiment.MetaOf(opt, "")
+	runner, err := NewExecRunner([]string{shim}, nil, &meta, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Execute(context.Background(), opt, Options{Shards: 1, Runner: runner, Meta: &meta, Retries: 3})
+	if err == nil || !strings.Contains(err.Error(), `"baseSeed":1989`) || !strings.Contains(err.Error(), `"baseSeed":1988`) {
+		t.Errorf("drifted worker grid: err = %v, want one naming both base seeds", err)
+	}
+	if log, _ := os.ReadFile(dispatches); len(log) != 1 {
+		t.Errorf("drifted worker dispatched %d times, want once", len(log))
 	}
 }

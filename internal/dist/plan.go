@@ -12,10 +12,10 @@
 // per worker all change wall-clock time only, never a single output
 // byte.
 //
-// Workers are plain commands ("pnut-sweep -cells lo:hi -emit cells")
-// writing the versioned JSONL cell-record stream on stdout; the
-// command template is configurable, so a "machine" is just an ssh or
-// container prefix. The coordinator journals records as they arrive,
+// Workers are plain commands ("pnut-sweep -spec - -cells lo:hi -emit
+// cells") that read the job as one JSON document on stdin and write
+// the versioned JSONL cell-record stream on stdout; the command is
+// configurable, so a "machine" is just an ssh or container prefix. The coordinator journals records as they arrive,
 // and a re-run against the same journal re-dispatches only the missing
 // cells — with output identical to a run that never failed.
 package dist
@@ -48,20 +48,12 @@ func PlanShards(cells, shards int) []Span {
 	return spans
 }
 
-// MissingSpans collects the maximal contiguous spans of cells for which
-// have reports false — the re-dispatch set of a resumed run. It is the
-// same scan an adaptive round uses for its pending set (see
-// experiment.MissingCellSpans).
-func MissingSpans(cells int, have func(cell int) bool) []Span {
-	return experiment.MissingCellSpans(cells, have)
-}
-
 // missingWithin collects the undelivered sub-spans of s — the salvage
 // set of a failed dispatch attempt. Cells outside s are never
 // reported, so a retry can only shrink toward the cells the dying
 // worker actually owed.
 func missingWithin(s Span, have func(cell int) bool) []Span {
-	return MissingSpans(s.Hi, func(c int) bool { return c < s.Lo || have(c) })
+	return experiment.MissingCellSpans(s.Hi, func(c int) bool { return c < s.Lo || have(c) })
 }
 
 // planUnits subdivides the missing spans into dispatch units so that

@@ -1,6 +1,10 @@
 package dist
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/experiment"
+)
 
 // TestPlanShardsProperties: every plan covers the grid exactly once
 // with contiguous near-equal spans, for a sweep of grid and shard
@@ -48,23 +52,24 @@ func TestPlanShardsProperties(t *testing.T) {
 	}
 }
 
-// TestMissingSpans: gaps group into maximal contiguous spans.
+// TestMissingSpans: gaps group into maximal contiguous spans, the
+// re-dispatch set of a resumed run.
 func TestMissingSpans(t *testing.T) {
 	have := map[int]bool{0: true, 1: true, 4: true, 7: true}
-	got := MissingSpans(9, func(c int) bool { return have[c] })
+	got := experiment.MissingCellSpans(9, func(c int) bool { return have[c] })
 	want := []Span{{Lo: 2, Hi: 4}, {Lo: 5, Hi: 7}, {Lo: 8, Hi: 9}}
 	if len(got) != len(want) {
-		t.Fatalf("MissingSpans = %v, want %v", got, want)
+		t.Fatalf("MissingCellSpans = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("MissingSpans[%d] = %v, want %v", i, got[i], want[i])
+			t.Errorf("MissingCellSpans[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if got := MissingSpans(4, func(int) bool { return true }); len(got) != 0 {
+	if got := experiment.MissingCellSpans(4, func(int) bool { return true }); len(got) != 0 {
 		t.Errorf("complete grid missing spans = %v", got)
 	}
-	if got := MissingSpans(4, func(int) bool { return false }); len(got) != 1 || got[0] != (Span{Lo: 0, Hi: 4}) {
+	if got := experiment.MissingCellSpans(4, func(int) bool { return false }); len(got) != 1 || got[0] != (Span{Lo: 0, Hi: 4}) {
 		t.Errorf("empty grid missing spans = %v", got)
 	}
 }

@@ -6,8 +6,8 @@
 // Options.Shards worker slots, where a failed span is salvaged instead
 // of fatal:
 //
-//   - Only the span's undelivered cells are re-planned (MissingSpans
-//     over the span), so cells a dying worker already streamed — and
+//   - Only the span's undelivered cells are re-planned (missingWithin
+//     the span), so cells a dying worker already streamed — and
 //     the coordinator already journaled — are never re-executed.
 //   - Each re-dispatch consumes one unit of the span's retry budget
 //     (Options.Retries) after an exponential backoff; the round fails
@@ -35,8 +35,8 @@ import (
 )
 
 // permanentError marks an error no retry budget may absorb: emit
-// validation failures and journal write errors abort the round even
-// when retries remain.
+// validation failures, journal write errors and a worker stream of a
+// different grid abort the round even when retries remain.
 type permanentError struct{ err error }
 
 func (e *permanentError) Error() string { return e.err.Error() }

@@ -317,3 +317,103 @@ func TestServerDistributedMatchesInProcess(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoteShellWorkers holds the distributed paths to workers that
+// run the way remote ones do. A remote shell such as ssh joins its
+// arguments into one command line and re-parses it, and it starts the
+// worker in another directory. So no job value may travel as a worker
+// argument, and no local file path may travel at all.
+func TestRemoteShellWorkers(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("worker wrappers are shell scripts")
+	}
+	bins := buildTools(t, "pnut-sweep", "pnut-grid")
+	dir := t.TempDir()
+	shim := func(name, script string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("#!/bin/sh\n"+script+"\n"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	remoteShell := shim("remote-shell.sh", `exec sh -c "$*"`) + " " + bins["pnut-sweep"]
+	otherDir := shim("cd-root.sh", `cd / && exec "$@"`) + " " + bins["pnut-sweep"]
+
+	t.Run("adaptive rule through a shell", func(t *testing.T) {
+		want := mustOutput(t, bins["pnut-sweep"], append(adaptiveArgs(), "-parallel", "1")...)
+		got := mustOutput(t, bins["pnut-grid"], append(adaptiveArgs(),
+			"-worker-cmd", remoteShell, "-procs", "2")...)
+		if !bytes.Equal(got, want) {
+			t.Errorf("pnut-grid through a remote shell differs from pnut-sweep:\n%s", got)
+		}
+	})
+
+	t.Run("relative net in another directory", func(t *testing.T) {
+		cmd := exec.Command(bins["pnut-grid"], "-net", "mutex.pn", "-engine", "reach",
+			"-bound", "lock", "-ctl", "AG(EF({crit_a == 1}))", "-format", "csv",
+			"-worker-cmd", otherDir, "-procs", "2")
+		cmd.Dir = testdataPath(t, "")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("pnut-grid -net mutex.pn with a cd / worker: %v\n%s", err, stderr.String())
+		}
+		goldenCompare(t, "pnut-sweep-reach.csv", out)
+	})
+
+	t.Run("server through a shell", func(t *testing.T) {
+		mutex, err := os.ReadFile(testdataPath(t, "mutex.pn"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := []sweepcli.Spec{
+			{Model: "cache", Axes: []string{"DHitRatio=0.5,0.9"}, Seed: 5, Horizon: 600,
+				Adaptive: "throughput(Issue):0.05", MinReps: 3, MaxReps: 9, Batch: 2,
+				Throughput: []string{"Issue"}, Parallel: 2},
+			{Net: string(mutex), Engine: "reach", Bound: []string{"lock"},
+				Ctl: []string{"AG(EF({crit_a == 1}))"}, Format: "table"},
+			{Model: "cache", Axes: []string{"MemoryCycles=1,5"}, Reps: 3, Seed: 11, Horizon: 800,
+				Throughput: []string{"Issue"}, Utilization: []string{"Bus_busy"}, Format: "json"},
+		}
+		want, got := serveSpecs(t, "", specs), serveSpecs(t, remoteShell, specs)
+		for i := range specs {
+			if got[i] != want[i] {
+				t.Errorf("spec %d: body through a remote shell\n%s\nin-process body\n%s", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// serveSpecs submits each spec with ?wait=1 to a fresh server whose
+// WorkerCmd is workerCmd (empty: in-process) and returns the bodies.
+func serveSpecs(t *testing.T, workerCmd string, specs []sweepcli.Spec) []string {
+	t.Helper()
+	s := server.New(server.Config{Workers: 1, WorkerCmd: workerCmd, Procs: 2})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	}()
+	var bodies []string
+	for _, spec := range specs {
+		blob, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("worker cmd %q, spec %s: status %d, %v\n%s", workerCmd, blob, resp.StatusCode, err, body)
+		}
+		bodies = append(bodies, string(body))
+	}
+	return bodies
+}

@@ -38,7 +38,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,8 +69,8 @@ type Config struct {
 	// caching.
 	CacheBytes int64
 	// WorkerCmd, when non-empty, runs jobs through the distributed
-	// coordinator with this command (plus the job's sweep flags) as the
-	// per-shard worker; Procs is the shard count.
+	// coordinator with this command as the per-shard worker, which gets
+	// the job's spec on stdin; Procs is the shard count.
 	WorkerCmd string
 	Procs     int
 	// MaxBody bounds a submission body (default 1 MiB); MaxCells bounds
@@ -267,33 +266,18 @@ func (s *Server) runSweep(ctx context.Context, j *Job) ([]byte, string, int64, e
 }
 
 // runDist executes the job through the distributed coordinator. The
-// worker command gets the job's sweep flags rendered by
-// Config.WorkerArgs, as pnut-grid renders its own, with an inline net
-// staged to a temp -net file; the coordinator appends the per-span
-// -cells/-emit flags.
+// workers get the job's spec, with the goroutine count defaulted as
+// for an in-process run, as one JSON document on stdin; the
+// coordinator appends the per-span -cells/-emit flags.
 func (s *Server) runDist(ctx context.Context, run *jobRun, opt experiment.SweepOptions, onCell func()) (*experiment.SweepResult, error) {
-	c, err := run.spec.Config()
+	spec := run.spec
+	spec.Parallel = opt.Workers
+	job, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
-	if run.spec.Net != "" {
-		f, err := os.CreateTemp("", "pnut-server-*.pn")
-		if err != nil {
-			return nil, fmt.Errorf("staging inline net: %w", err)
-		}
-		defer os.Remove(f.Name())
-		_, err = f.WriteString(run.spec.Net)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("staging inline net: %w", err)
-		}
-		c.Net = f.Name()
-	}
-	argv := append(strings.Fields(s.cfg.WorkerCmd), c.WorkerArgs(opt.Workers)...)
 	meta := run.meta
-	base, err := dist.NewExecRunner(argv, &meta, s.cfg.Log)
+	base, err := dist.NewExecRunner(strings.Fields(s.cfg.WorkerCmd), job, &meta, s.cfg.Log)
 	if err != nil {
 		return nil, err
 	}
@@ -349,10 +333,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var spec sweepcli.Spec
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := sweepcli.DecodeSpec(r.Body)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("spec body over %d bytes", s.cfg.MaxBody))

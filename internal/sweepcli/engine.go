@@ -71,6 +71,7 @@ func (f *EngineFlags) RegisterState(fs *flag.FlagSet) {
 type byteBudget int64
 
 func (b *byteBudget) String() string { return strconv.FormatInt(int64(*b), 10) }
+func (b *byteBudget) Get() any       { return int64(*b) }
 
 // Set parses v as an integer in any Go base prefix, rejecting negatives.
 func (b *byteBudget) Set(v string) error {

@@ -51,8 +51,8 @@ func parseFlags(args []string) (*Config, *flag.FlagSet, error) {
 // job body, through Spec.Resolve and Spec.Config. Nothing may panic.
 // When Config succeeds, every tagged flag must read back the field's
 // value when the field is set and the flag's default when it is not,
-// and the Config must come back unchanged through WorkerArgs, the flag
-// list pnut-grid and the server's distributed path ship to workers.
+// and the Config must come back unchanged through Config.Spec, the job
+// document pnut-grid ships to its workers.
 func FuzzSpec(f *testing.F) {
 	for _, s := range []string{
 		`{}`,
@@ -95,12 +95,16 @@ func FuzzSpec(f *testing.F) {
 				t.Fatalf("spec %+v sets -%s to %q, want %q", s, name, got, want)
 			}
 		})
-		w, _, err := parseFlags(c.WorkerArgs(c.Parallel))
-		if err != nil {
-			t.Fatalf("worker args %q do not parse: %v", c.WorkerArgs(c.Parallel), err)
+		job, lost, err := c.Spec()
+		if err != nil || lost != nil {
+			t.Fatalf("config %+v: job spec lost %q, %v", c, lost, err)
 		}
-		if !reflect.DeepEqual(w, &c) {
-			t.Fatalf("worker args %q parse to\n%+v\nwant\n%+v", c.WorkerArgs(c.Parallel), w, c)
+		w, err := job.Config()
+		if err != nil {
+			t.Fatalf("job spec %+v does not set its flags: %v", job, err)
+		}
+		if !reflect.DeepEqual(w, c) {
+			t.Fatalf("job spec %+v sets\n%+v\nwant\n%+v", job, w, c)
 		}
 	})
 }

@@ -6,11 +6,16 @@
 // `flag` struct tag, and Config sets those flags on a FlagSet that
 // Config.Register installed, so an omitted spec field inherits the
 // flag's default and a bad value fails with the flag's own error.
+// Config.Spec reads the same tags back into the job document that a
+// coordinator ships to its workers.
 package sweepcli
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"reflect"
 
 	"repro/internal/experiment"
@@ -109,6 +114,46 @@ func (s *Spec) Config() (Config, error) {
 		}
 	}
 	return c, nil
+}
+
+// DecodeSpec reads one job document as JSON, rejecting unknown fields:
+// pnut-server decodes job bodies and pnut-sweep -spec its job with it.
+func DecodeSpec(r io.Reader) (Spec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var s Spec
+	err := dec.Decode(&s)
+	return s, err
+}
+
+// Spec is the inverse of Spec.Config: the job document of this config,
+// each tagged field read from its flag and Net holding the -net file's
+// source, so it resolves alike in any directory on any machine. A zero
+// field means the flag default, so lost names each flag set to zero
+// over a non-zero default, with its value ("-seed 0").
+func (c *Config) Spec() (s Spec, lost []string, err error) {
+	var w Config
+	fs := flag.NewFlagSet("spec", flag.ContinueOnError)
+	w.Register(fs)
+	w = *c
+	if c.Net != "" {
+		src, err := os.ReadFile(c.Net)
+		if err != nil {
+			return Spec{}, nil, err
+		}
+		s.Net = string(src)
+	}
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Tag.Get("flag"); name != "" {
+			fl, f := fs.Lookup(name), v.Field(i)
+			f.Set(reflect.ValueOf(fl.Value.(flag.Getter).Get()).Convert(f.Type()))
+			if f.IsZero() && fl.Value.String() != fl.DefValue {
+				lost = append(lost, "-"+name+" "+fl.Value.String())
+			}
+		}
+	}
+	return s, lost, nil
 }
 
 // Resolve expands the spec into sweep options plus the model identity,

@@ -5,18 +5,18 @@
 // same definitions, so the tools cannot drift apart in spelling,
 // defaults or help text. Config composes the groups into the full sweep
 // shape the pnut-sweep worker and the pnut-grid coordinator share.
-// WorkerArgs is the inverse of Config.Register by construction: it
-// renders the very flags Register installs, each from its current
-// value, so a coordinator — pnut-grid, or pnut-server's distributed
-// path — launches workers whose grid (axes, seed schedule, metrics,
-// engine) is exactly its own. The JSON Spec names each flag once, in
-// a struct tag that Spec.Config sets, so a new sweep flag needs its
-// Register line and one tagged Spec field, and no other code.
+// The JSON Spec names each flag once, in a struct tag that Spec.Config
+// sets and Config.Spec reads, so a new sweep flag needs its Register
+// line and one tagged Spec field, and no other code. The Spec is the
+// one form in which a job reaches a worker (pnut-sweep -spec -), so a
+// worker resolves the very document its coordinator resolved.
 package sweepcli
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -35,6 +35,7 @@ import (
 type Repeated []string
 
 func (r *Repeated) String() string { return strings.Join(*r, ", ") }
+func (r *Repeated) Get() any       { return append([]string(nil), *r...) }
 
 // Set appends one occurrence.
 func (r *Repeated) Set(v string) error {
@@ -143,8 +144,8 @@ func (f *MetricFlags) Metrics() []experiment.Metric {
 
 // FaultFlags is the coordinator's fault-tolerance group: how hard a
 // round fights for its spans before the run fails. Coordinator-only —
-// these flags shape dispatch, never the grid, so WorkerArgs does not
-// ship them and they cannot change an output byte.
+// these flags shape dispatch, never the grid, so the job spec does not
+// carry them and they cannot change an output byte.
 type FaultFlags struct {
 	Retries   int
 	Backoff   time.Duration
@@ -167,6 +168,25 @@ func (f *FaultFlags) Apply(o *dist.Options) {
 	o.Retries = f.Retries
 	o.Backoff = f.Backoff
 	o.Speculate = f.Speculate
+}
+
+// Render writes a result to w in the -format of the sweeping CLIs: an
+// aligned table (with table) or CSV (with csv).
+func Render(w io.Writer, format string, table, csv func(io.Writer) error) error {
+	bw := bufio.NewWriter(w)
+	var err error
+	switch format {
+	case "table":
+		err = table(bw)
+	case "csv":
+		err = csv(bw)
+	default:
+		err = fmt.Errorf("unknown -format %q (want table or csv)", format)
+	}
+	if err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // TraceFormat installs the shared -trace-format flag on fs with the
@@ -255,30 +275,6 @@ func (c *Config) optionsWith(build func(experiment.Point) (*petri.Net, error)) (
 		return experiment.SweepOptions{}, err
 	}
 	return opt, nil
-}
-
-// WorkerArgs renders this sweep shape as the flag list of a worker
-// pnut-sweep process, with the worker's goroutine count overridden to
-// parallel. It registers a fresh Config, copies c into it and renders
-// every registered flag as -name=value (a repeatable flag once per
-// element), so it is the inverse of Register by construction.
-func (c *Config) WorkerArgs(parallel int) []string {
-	var w Config
-	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
-	w.Register(fs)
-	w = *c
-	w.Parallel = parallel
-	var args []string
-	fs.VisitAll(func(f *flag.Flag) {
-		if r, ok := f.Value.(*Repeated); ok {
-			for _, v := range *r {
-				args = append(args, "-"+f.Name+"="+v)
-			}
-			return
-		}
-		args = append(args, "-"+f.Name+"="+f.Value.String())
-	})
-	return args
 }
 
 // buildHook returns the per-point net builder: either the built-in

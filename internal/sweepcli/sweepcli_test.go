@@ -2,7 +2,9 @@ package sweepcli
 
 import (
 	"flag"
+	"os"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -12,7 +14,7 @@ import (
 // everyFlag sets every flag Config.Register installs to a value other
 // than its default.
 var everyFlag = Config{
-	Model: "cache", Net: "testdata/pipeline.pn", Reps: 7, Parallel: 5,
+	Model: "cache", Net: "../../testdata/pipeline.pn", Reps: 7, Parallel: 5,
 	RunFlags:      RunFlags{Horizon: 1234, MaxStarts: 9, Seed: 42},
 	AdaptiveFlags: AdaptiveFlags{Adaptive: "throughput(Issue):0.05", MinReps: 3, MaxReps: 24, Batch: 2},
 	MetricFlags: MetricFlags{
@@ -27,11 +29,14 @@ var everyFlag = Config{
 	Axes: Repeated{"DHitRatio=0:1:0.25", "MemoryCycles=1,5,12"},
 }
 
-// TestWorkerArgsRoundTrip pins the lockstep contract: parsing
-// WorkerArgs through Register reproduces the originating config
-// exactly, bar the goroutine count WorkerArgs overrides, so a
-// coordinator's workers always see its exact sweep shape.
-func TestWorkerArgsRoundTrip(t *testing.T) {
+// TestConfigSpecRoundTrip pins the lockstep contract of the job
+// document: a config turned into a Spec and set back through
+// Spec.Config is the config itself, so a coordinator's workers see its
+// exact sweep shape. Two things differ by design: Net comes back as
+// the source of its file, and a zero field over a non-zero flag
+// default comes back as that default, since a zero spec field means
+// the default.
+func TestConfigSpecRoundTrip(t *testing.T) {
 	probe, fs, _ := parseFlags(nil)
 	*probe = everyFlag
 	fs.VisitAll(func(f *flag.Flag) {
@@ -51,7 +56,7 @@ func TestWorkerArgsRoundTrip(t *testing.T) {
 			},
 		},
 		{
-			Net: "testdata/pipeline.pn", Model: "pipeline", RunFlags: RunFlags{Horizon: 10_000, Seed: 1}, Reps: 5,
+			Net: "../../testdata/pipeline.pn", Model: "pipeline", RunFlags: RunFlags{Horizon: 10_000, Seed: 1}, Reps: 5,
 			Axes:        Repeated{"max_type=4,6"},
 			MetricFlags: MetricFlags{Throughputs: Repeated{"Issue"}},
 		},
@@ -62,7 +67,7 @@ func TestWorkerArgsRoundTrip(t *testing.T) {
 			MetricFlags:   MetricFlags{Throughputs: Repeated{"Issue"}},
 		},
 		{
-			Net: "testdata/pipeline.pn", Model: "pipeline", RunFlags: RunFlags{Horizon: 10_000, Seed: 1}, Reps: 1,
+			Net: "../../testdata/pipeline.pn", Model: "pipeline", RunFlags: RunFlags{Horizon: 10_000, Seed: 1}, Reps: 1,
 			Axes: Repeated{"max_type=4,6"},
 			EngineFlags: EngineFlags{
 				Engine: "reach", MaxStates: 5000, BoundCap: 64, Explore: 2,
@@ -70,7 +75,7 @@ func TestWorkerArgsRoundTrip(t *testing.T) {
 			},
 		},
 		{
-			Net: "testdata/pipeline.pn", Model: "pipeline", RunFlags: RunFlags{Horizon: 10_000, Seed: 1}, Reps: 1,
+			Net: "../../testdata/pipeline.pn", Model: "pipeline", RunFlags: RunFlags{Horizon: 10_000, Seed: 1}, Reps: 1,
 			Axes: Repeated{"max_type=4,6"},
 			EngineFlags: EngineFlags{
 				Engine: "reach", MaxStates: 5000,
@@ -78,14 +83,36 @@ func TestWorkerArgsRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	for _, want := range cfgs {
-		got, _, err := parseFlags(want.WorkerArgs(3))
+	for _, c := range cfgs {
+		spec, lost, err := c.Spec()
 		if err != nil {
-			t.Fatalf("worker args do not parse: %v", err)
+			t.Fatal(err)
 		}
-		want.Parallel = 3 // WorkerArgs overrides the goroutine count
-		if !reflect.DeepEqual(*got, want) {
-			t.Errorf("round trip changed the config:\n got %+v\nwant %+v", got, want)
+		if c.Net != "" {
+			if src, err := os.ReadFile(c.Net); err != nil || spec.Net != string(src) {
+				t.Errorf("spec net is not the source of %s (%v)", c.Net, err)
+			}
+		}
+		got, err := spec.Config()
+		if err != nil {
+			t.Fatalf("spec %+v does not set its flags: %v", spec, err)
+		}
+		want, fs, _ := parseFlags(nil)
+		*want = c
+		want.Net = ""
+		var wantLost []string
+		fs.VisitAll(func(f *flag.Flag) {
+			if v := f.Value.String(); (v == "0" || v == "") && v != f.DefValue {
+				wantLost = append(wantLost, "-"+f.Name+" "+v)
+				f.Value.Set(f.DefValue)
+			}
+		})
+		if !reflect.DeepEqual(got, *want) {
+			t.Errorf("round trip changed the config:\n got %+v\nwant %+v", got, *want)
+		}
+		sort.Strings(lost)
+		if !reflect.DeepEqual(lost, wantLost) {
+			t.Errorf("Spec reports %q lost, want %q", lost, wantLost)
 		}
 	}
 }
