@@ -290,6 +290,7 @@ func BenchmarkSeqFromReader(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(states), "allocs/state")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(states), "B/state")
 	b.ReportMetric(float64(states)/float64(b.N), "states")
 }
 

@@ -234,7 +234,7 @@ func emitCells(opt experiment.SweepOptions, name, cells string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "pnut-sweep: %s: cells %s of %d, workers=%d elapsed=%s\n",
-		name, span, opt.NumCells(), opt.Workers, time.Since(start).Round(time.Microsecond))
+		name, span, opt.NumCells(), opt.PoolSize(span.Size()), time.Since(start).Round(time.Microsecond))
 	return nil
 }
 

@@ -156,7 +156,7 @@ func RunCellSpansContext(ctx context.Context, opt SweepOptions, spans []CellSpan
 		pts = append(pts, pt)
 	}
 
-	workers := opt.workers(total)
+	workers := opt.PoolSize(total)
 	recs := make([]CellRecord, total)
 
 	// Worker-confined backend state: each pool worker lazily mints its

@@ -187,7 +187,10 @@ func (o *SweepOptions) RepStride() int {
 // sweep addresses this grid but only runs each point's prefix of it.
 func (o *SweepOptions) NumCells() int { return o.NumPoints() * o.RepStride() }
 
-func (o *SweepOptions) workers(cells int) int {
+// PoolSize returns the number of goroutines a run of the given number
+// of cells uses: Workers, or GOMAXPROCS when Workers is 0 or less,
+// capped at cells.
+func (o *SweepOptions) PoolSize(cells int) int {
 	w := o.Workers
 	if w <= 0 {
 		w = defaultWorkers()
@@ -469,7 +472,7 @@ func Sweep(ctx context.Context, opt SweepOptions) (*SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.Workers = opt.workers(opt.NumCells())
+	r.Workers = opt.PoolSize(opt.NumCells())
 	r.Elapsed = time.Since(start)
 	return r, nil
 }

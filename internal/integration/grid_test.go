@@ -11,7 +11,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -45,6 +47,27 @@ func TestGoldenGrid(t *testing.T) {
 	table := mustOutput(t, bins["pnut-grid"], append(gridArgs("table"),
 		"-worker-cmd", bins["pnut-sweep"], "-procs", "2")...)
 	goldenCompare(t, "pnut-sweep.txt", table)
+}
+
+// TestWorkerReportsPoolSize: a worker's summary line names the
+// goroutines its span ran on, the default pool capped at the span's
+// cells, not the -parallel value the spec left at zero.
+func TestWorkerReportsPoolSize(t *testing.T) {
+	bins := buildTools(t, "pnut-sweep")
+	cmd := exec.Command(bins["pnut-sweep"], "-spec", "-", "-cells", "0:4", "-emit", "cells")
+	cmd.Stdin = strings.NewReader(`{"model":"cache","reps":4,"horizon":500,"throughput":["Issue"]}`)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if _, err := cmd.Output(); err != nil {
+		t.Fatalf("pnut-sweep worker: %v\n%s", err, stderr.String())
+	}
+	m := regexp.MustCompile(`cells 0:4 of 4, workers=(\d+) `).FindStringSubmatch(stderr.String())
+	if m == nil {
+		t.Fatalf("no worker summary line in:\n%s", stderr.String())
+	}
+	if w, _ := strconv.Atoi(m[1]); w < 1 || w > 4 {
+		t.Errorf("worker reports workers=%d for 4 cells:\n%s", w, stderr.String())
+	}
 }
 
 // TestGridKillWorkerResume is the process-level resume contract: a

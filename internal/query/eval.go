@@ -197,7 +197,7 @@ func (c *compiler) pexpr(p pexpr) (fn, int) {
 			return fail(err), noSlot
 		}
 		times := c.seq.times
-		return func() (int64, error) { return times[c.frame[slot]], nil }, slot
+		return func() (int64, error) { return times.at(c.frame[slot]), nil }, slot
 	case pIndex:
 		slot, err := c.lookup(p.sv)
 		if err != nil {
@@ -209,13 +209,13 @@ func (c *compiler) pexpr(p pexpr) (fn, int) {
 		if err != nil {
 			return fail(err), noSlot
 		}
-		times, final := c.seq.times, c.seq.FinalTime
+		times, n, final := c.seq.times, c.seq.Len(), c.seq.FinalTime
 		return func() (int64, error) {
 			idx := c.frame[slot]
-			if idx+1 < len(times) {
-				return times[idx+1] - times[idx], nil
+			if idx+1 < n {
+				return times.at(idx+1) - times.at(idx), nil
 			}
-			return final - times[idx], nil
+			return final - times.at(idx), nil
 		}, slot
 	case pInev:
 		return c.inev(p)
