@@ -373,7 +373,7 @@ func sweepBench(b *testing.B, workers int) {
 	}
 	var events int64
 	var elapsed float64
-	cpu := cpuPerCell(b, opt.NumCells())
+	cpu := cpuPer(b, opt.NumCells(), "cpu-ms/cell")
 	for i := 0; i < b.N; i++ {
 		r := mustSweep(b, opt)
 		events = r.Events
@@ -384,14 +384,15 @@ func sweepBench(b *testing.B, workers int) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
 }
 
-// cpuPerCell starts a CPU meter (see processCPU); the returned func
-// reports cpu-ms/cell, the CPU spent since over b.N runs of cells
-// cells each, workers' CPU included.
-func cpuPerCell(b *testing.B, cells int) func() {
+// cpuPer starts a CPU meter (see processCPU); the returned func
+// reports the CPU milliseconds spent since over b.N runs of per units
+// each, workers' CPU included, as the metric unit (cpu-ms/cell,
+// cpu-ms/op).
+func cpuPer(b *testing.B, per int, unit string) func() {
 	start, ok := processCPU()
 	return func() {
 		if end, _ := processCPU(); ok {
-			b.ReportMetric(float64(end-start)/1e6/float64(b.N*cells), "cpu-ms/cell")
+			b.ReportMetric(float64(end-start)/1e6/float64(b.N*per), unit)
 		}
 	}
 }
@@ -421,7 +422,7 @@ func gridBench(b *testing.B, shards int, runner dist.Runner) {
 	var events int64
 	var elapsed float64
 	b.ResetTimer()
-	cpu := cpuPerCell(b, opt.NumCells())
+	cpu := cpuPer(b, opt.NumCells(), "cpu-ms/cell")
 	for i := 0; i < b.N; i++ {
 		r, err := dist.Execute(context.Background(), opt, dist.Options{Shards: shards, Runner: runner})
 		if err != nil {
@@ -610,10 +611,12 @@ func BenchmarkAblationInterpreted(b *testing.B) {
 
 // BenchmarkReachability exercises the analyzer of Section 4 on the full
 // pipeline net (untimed) plus the temporal check that the execution
-// unit is always eventually free.
+// unit is always eventually free. It runs the default shard count;
+// cpu-ms/op above ms/op means the build spent CPU on other cores.
 func BenchmarkReachability(b *testing.B) {
 	net := mustProcessor(b, pipeline.DefaultParams())
 	var states int
+	cpu := cpuPer(b, 1, "cpu-ms/op")
 	for i := 0; i < b.N; i++ {
 		g, err := reach.Build(context.Background(), net, reach.Options{MaxStates: 200_000})
 		if err != nil {
@@ -624,6 +627,7 @@ func BenchmarkReachability(b *testing.B) {
 			b.Fatal("execution unit can be permanently lost")
 		}
 	}
+	cpu()
 	b.ReportMetric(float64(states), "states")
 }
 
@@ -633,11 +637,12 @@ func BenchmarkReachability(b *testing.B) {
 // iteration times one BuildTimed plus one direct solve. Reported: the
 // analytic instruction rate and bus utilization, to be compared with
 // the simulated Figure 5 values (they agree to three decimals; see
-// EXPERIMENTS.md).
+// EXPERIMENTS.md), and cpu-ms/op, as in BenchmarkReachability.
 func BenchmarkAnalytic(b *testing.B) {
 	net := mustProcessor(b, pipeline.DefaultParams())
 	var bus, issue float64
 	var states int
+	cpu := cpuPer(b, 1, "cpu-ms/op")
 	for i := 0; i < b.N; i++ {
 		r, err := analytic.Evaluate(context.Background(), net, reach.Options{MaxStates: 500_000})
 		if err != nil {
@@ -647,6 +652,7 @@ func BenchmarkAnalytic(b *testing.B) {
 		issue, _ = r.Throughput("Issue")
 		states = r.States
 	}
+	cpu()
 	b.ReportMetric(bus, "bus_util_exact")
 	b.ReportMetric(issue, "ipc_exact")
 	b.ReportMetric(float64(states), "timed_states")

@@ -4,5 +4,5 @@ package repro
 
 import "time"
 
-// processCPU is unavailable off unix: no cpu-ms/cell is reported.
+// processCPU is unavailable off unix: no cpu-ms metric is reported.
 func processCPU() (time.Duration, bool) { return 0, false }

@@ -52,8 +52,8 @@ type Options = reach.Options
 
 // Evaluate builds the timed reachability graph of net and solves the
 // embedded Markov chain by sparse state reduction (see the package
-// comment). ctx covers both phases: the parallel reach.BuildTimed
-// checks it at every window barrier, the solve every 1024 state
+// comment). ctx covers both phases: reach.BuildTimed, sharded as
+// opt.Shards asks, checks it at every window barrier, the solve every 1024 state
 // eliminations. The figures are bit-identical across runs, GOMAXPROCS
 // values, opt.Shards and opt.SpillBudget. Close the result when done:
 // with a spill budget its graph holds a temp file, which Utilization

@@ -19,7 +19,7 @@ import (
 
 // ReachBackend is the exhaustive reachability engine. The zero value
 // uses the reach package defaults (100k states, bound cap 4096, every
-// row in memory, GOMAXPROCS exploration).
+// row in memory, one exploration shard on the cell's own goroutine).
 type ReachBackend struct {
 	// Opt carries the full state-space controls. MaxStates and
 	// BoundCap pin the grid and enter the cell-stream meta;

@@ -2,7 +2,6 @@ package reach
 
 import (
 	"context"
-	"runtime"
 	"slices"
 	"sync"
 )
@@ -55,20 +54,43 @@ type resolved struct {
 	node, dup int32
 }
 
-// maxShards caps Options.Shards. Every shard costs a goroutine and two
-// dedup tables per window, so an unchecked count from a job spec could
-// exhaust memory; past the core count more shards buy nothing, and the
-// graph is the same for every count.
+// maxShards caps Options.Shards. Every shard past the first costs a
+// goroutine, and every shard two dedup tables, per window, so an
+// unchecked count from a job spec could exhaust memory; past the core
+// count more shards buy nothing, and the graph is the same for every
+// count.
 const maxShards = 256
 
-// shardCount resolves Options.Shards (0 or less = GOMAXPROCS), clamped
-// to maxShards.
+// shardCount resolves Options.Shards (0 or less = one shard, run on the
+// caller's goroutine), clamped to maxShards. One shard is the default
+// because the serial commit pass then reads candidates and tables its
+// own core wrote, and sweep and server cells already run on a pool of
+// workers of their own. Measured on 2 vCPUs: perfbench exact_analysis
+// spent 41% more CPU per unit at two shards for no more units per
+// second, and forkjoin_7x4 took 91.8 CPU ms and 88.6 wall ms per build
+// at one shard against 125.5 and 83.0 at four.
 func (o Options) shardCount() int {
-	n := o.Shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+	return min(max(o.Shards, 1), maxShards)
+}
+
+// fanOut runs work(w) for every shard w in [0, n) and returns once all
+// have: shard 0 on the calling goroutine and each other shard on one
+// of its own, so one shard starts no goroutine.
+func fanOut(n int, work func(w int)) {
+	if n == 1 {
+		work(0)
+		return
 	}
-	return min(n, maxShards)
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for w := 1; w < n; w++ {
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
+	}
+	work(0)
+	wg.Wait()
 }
 
 // idTable is an open-addressing set of (tag, id) pairs with linear
@@ -168,22 +190,23 @@ const window = 1024
 // Build and BuildTimed. Each level is the id range [lo, hi) committed
 // last round, in order, exactly like a serial FIFO queue, and it is
 // explored in consecutive windows of at most window*shards nodes, in
-// id order. Shards expand contiguous chunks of a window in parallel;
-// each candidate's owning shard (hash % shards) resolves it against
-// the shard's table of the window's earlier new candidates and, on a
-// miss, its table of committed ids, which also holds the states the
-// level's earlier windows committed; states are compared on every
-// hash match. The two tables hold disjoint states: nothing commits
-// while shards resolve, so the committed table is read-only, and a
-// candidate enters the window's table only after missing it. The order
-// of the probes therefore cannot change a verdict; the window's table
-// goes first because most candidates repeat a state of their own
-// window, and it is the smaller one. Then the window's candidates
-// commit sequentially in (node, successor) order, which numbers new
-// states exactly as the serial build does. The result is therefore
-// bit-identical for any shard count. ctx is checked at every window
-// barrier, where no goroutine is in flight, so a wide level can be
-// cancelled part way. explore adds its counts to st.
+// id order. Shards expand contiguous chunks of a window in parallel,
+// shard 0 on the caller's goroutine (fanOut); each candidate's owning
+// shard (hash % shards) resolves it against the shard's table of the
+// window's earlier new candidates and, on a miss, its table of
+// committed ids, which also holds the states the level's earlier
+// windows committed; states are compared on every hash match. The two
+// tables hold disjoint states: nothing commits while shards resolve,
+// so the committed table is read-only, and a candidate enters the
+// window's table only after missing it. The order of the probes
+// therefore cannot change a verdict; the window's table goes first
+// because most candidates repeat a state of their own window, and it
+// is the smaller one. Then the window's candidates commit sequentially
+// in (node, successor) order, which numbers new states exactly as the
+// serial build does. The result is therefore bit-identical for any
+// shard count. ctx is checked at every window barrier, where no
+// goroutine is in flight, so a wide level can be cancelled part way.
+// explore adds its counts to st.
 func explore[S any](ctx context.Context, sp space[S], root S, shards int, st *BuildStats) error {
 	seen := make([]idTable, shards) // per shard: committed (hash, id)
 	pend := make([]idTable, shards) // per shard: the window's new (hash, seq)
@@ -203,8 +226,7 @@ func explore[S any](ctx context.Context, sp space[S], root S, shards int, st *Bu
 		counts   []int32                      // successors per window node
 		flat     []cand[S]                    // the window's candidates in global order
 		assigned []int32                      // committed id per candidate
-		wg       sync.WaitGroup
-		n        = 1 // the next new id
+		n        = 1                          // the next new id
 	)
 	for lo, hi := 0, 1; lo < hi; lo, hi = hi, n {
 		st.Levels++
@@ -216,22 +238,17 @@ func explore[S any](ctx context.Context, sp space[S], root S, shards int, st *Bu
 			counts = slices.Grow(counts[:0], b-a)[:b-a]
 			clear(counts)
 			chunk := (b - a + shards - 1) / shards
-			for w := 0; w < shards && a+w*chunk < b; w++ {
-				wg.Add(1)
-				go func(w, x, y int) {
-					defer wg.Done()
-					out := outs[w][:0]
-					errs[w] = sp.expand(w, x, y, func(id int, s S) {
-						out = append(out, cand[S]{s: s})
-						counts[id-a]++
-					})
-					for i := range out {
-						out[i].hash = sp.hash(&out[i].s)
-					}
-					outs[w] = out
-				}(w, a+w*chunk, min(a+(w+1)*chunk, b))
-			}
-			wg.Wait()
+			fanOut((b-a+chunk-1)/chunk, func(w int) { // no shard gets a chunk past b
+				out := outs[w][:0]
+				errs[w] = sp.expand(w, a+w*chunk, min(a+(w+1)*chunk, b), func(id int, s S) {
+					out = append(out, cand[S]{s: s})
+					counts[id-a]++
+				})
+				for i := range out {
+					out[i].hash = sp.hash(&out[i].s)
+				}
+				outs[w] = out
+			})
 			flat = flat[:0]
 			for w := range outs {
 				if errs[w] != nil {
@@ -252,32 +269,27 @@ func explore[S any](ctx context.Context, sp space[S], root S, shards int, st *Bu
 				next[w] = start
 				start += len(byShard[w])
 			}
-			for w := range byShard {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					p := &pend[w]
-					p.reset(p.n) // the last window's new states are the best guess at this one's
-					r := res[next[w] : next[w]+len(byShard[w])]
-					var dups, hits int
-					for k, seq := range byShard[w] {
-						c, tag := &flat[seq], tagOf(flat[seq].hash)
-						v := resolved{node: -1, dup: p.lookup(tag, func(ps int32) bool { return sp.same(&flat[ps].s, &c.s) })}
-						if v.dup >= 0 {
-							dups++
-						} else if v.node = seen[w].lookup(tag, func(id int32) bool { return sp.holds(w, id, &c.s) }); v.node >= int32(hi) {
-							dups++ // committed by an earlier window of the level
-						} else if v.node >= 0 {
-							hits++
-						} else {
-							p.insert(tag, seq)
-						}
-						r[k] = v
+			fanOut(shards, func(w int) {
+				p := &pend[w]
+				p.reset(p.n) // the last window's new states are the best guess at this one's
+				r := res[next[w] : next[w]+len(byShard[w])]
+				var dups, hits int
+				for k, seq := range byShard[w] {
+					c, tag := &flat[seq], tagOf(flat[seq].hash)
+					v := resolved{node: -1, dup: p.lookup(tag, func(ps int32) bool { return sp.same(&flat[ps].s, &c.s) })}
+					if v.dup >= 0 {
+						dups++
+					} else if v.node = seen[w].lookup(tag, func(id int32) bool { return sp.holds(w, id, &c.s) }); v.node >= int32(hi) {
+						dups++ // committed by an earlier window of the level
+					} else if v.node >= 0 {
+						hits++
+					} else {
+						p.insert(tag, seq)
 					}
-					tally[w].LevelDups, tally[w].SeenHits = dups, hits
-				}(w)
-			}
-			wg.Wait()
+					r[k] = v
+				}
+				tally[w].LevelDups, tally[w].SeenHits = dups, hits
+			})
 			st.Candidates += len(flat)
 			for w := range tally {
 				st.LevelDups += tally[w].LevelDups

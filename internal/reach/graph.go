@@ -42,11 +42,12 @@ type Options struct {
 	// count exceeds this value (default 4096). Use Coverability for a
 	// definite answer on nets without inhibitor arcs.
 	BoundCap int
-	// Shards is the number of exploration goroutines Build and
-	// BuildTimed fan each frontier window across (0 or less =
-	// GOMAXPROCS), clamped to 256. The graph — node numbering, edge
-	// order, flags — is bit-identical for every value; shards only
-	// change wall-clock time.
+	// Shards is the number of shards Build and BuildTimed fan each
+	// frontier window across, clamped to 256. Shard 0 runs on the
+	// calling goroutine and each other shard on one of its own; 0 or
+	// less means one shard, so the build starts no goroutine. The
+	// graph — node numbering, edge order, flags — is bit-identical for
+	// every value; shards only change where and how fast it is built.
 	Shards int
 	// SpillBudget, when positive, is the byte budget of the rows the
 	// graph keeps in memory: past it, the oldest whole blocks of rows
@@ -159,9 +160,10 @@ func (g *Graph) Close() error {
 // their state includes program variables, which the graph cannot
 // enumerate faithfully.
 //
-// The search is the sharded frontier of explore over opt.Shards
-// goroutines, so node ids, edge order, markings and flags are
-// bit-identical to a serial FIFO build for any shard count.
+// The search is the sharded frontier of explore over opt.Shards shards
+// (by default one, on the calling goroutine), so node ids, edge order,
+// markings and flags are bit-identical to a serial FIFO build for any
+// shard count.
 // Construction stops the moment a new state would exceed MaxStates
 // (Truncated is set and the graph holds exactly MaxStates nodes).
 //

@@ -1,9 +1,12 @@
 package reach
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/modelgen"
@@ -348,6 +351,100 @@ func TestShardsClamped(t *testing.T) {
 	graphsIdentical(t, want, got)
 }
 
+// goroutineSpace records the goroutine of every expand and holds
+// call of the space it wraps.
+type goroutineSpace[S any] struct {
+	space[S]
+	mu              sync.Mutex
+	on              map[uint64]int // goroutine -> calls
+	nExpand, nHolds int
+}
+
+// goid is the id of the calling goroutine, from the first line of its
+// stack trace: "goroutine 18 [running]:".
+func goid() uint64 {
+	var buf [64]byte
+	line := buf[:runtime.Stack(buf[:], false)]
+	id, _, _ := bytes.Cut(bytes.TrimPrefix(line, []byte("goroutine ")), []byte(" "))
+	n, err := strconv.ParseUint(string(id), 10, 64)
+	if err != nil {
+		panic(fmt.Sprintf("no goroutine id in %q", line))
+	}
+	return n
+}
+
+func (g *goroutineSpace[S]) record(holds bool) {
+	id := goid()
+	g.mu.Lock()
+	g.on[id]++
+	if holds {
+		g.nHolds++
+	} else {
+		g.nExpand++
+	}
+	g.mu.Unlock()
+}
+
+func (g *goroutineSpace[S]) expand(w, lo, hi int, succ func(int, S)) error {
+	g.record(false)
+	return g.space.expand(w, lo, hi, succ)
+}
+
+func (g *goroutineSpace[S]) holds(w int, id int32, s *S) bool {
+	g.record(true)
+	return g.space.holds(w, id, s)
+}
+
+// TestOneShardOnCallersGoroutine: a build at the default shard count,
+// or at Shards: 1, expands and dedups every state on the goroutine
+// that called it, untimed and timed, so it starts no goroutine.
+func TestOneShardOnCallersGoroutine(t *testing.T) {
+	for _, shards := range []int{0, -3} {
+		if got := (Options{Shards: shards}).shardCount(); got != 1 {
+			t.Fatalf("shardCount(%d) = %d, want 1", shards, got)
+		}
+	}
+	me := goid()
+	timedNet, err := pipeline.Processor(pipeline.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []Options{{}, {Shards: 1}} {
+		for _, timed := range []bool{false, true} {
+			var sp *graphSpace
+			var s space[rowSucc]
+			if timed {
+				ts, err := newTimedSpace(timedNet, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sp, s = ts.graphSpace, ts
+			} else {
+				gs, err := newGraphSpace(modelgen.ForkJoin(4, 3, 3), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sp, s = gs, gs
+			}
+			gsp := &goroutineSpace[rowSucc]{space: s, on: map[uint64]int{}}
+			g, err := sp.finish(explore[rowSucc](context.Background(), gsp, sp.root, sp.shards, &sp.g.Stats))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Close()
+			if gsp.nExpand == 0 || gsp.nHolds == 0 {
+				t.Fatalf("shards=%d timed=%v: %d expand and %d holds calls, want both", opt.Shards, timed, gsp.nExpand, gsp.nHolds)
+			}
+			for id, calls := range gsp.on {
+				if id != me {
+					t.Fatalf("shards=%d timed=%v: %d of %d calls ran on goroutine %d, not the caller's %d",
+						opt.Shards, timed, calls, gsp.nExpand+gsp.nHolds, id, me)
+				}
+			}
+		}
+	}
+}
+
 // TestBuildStats checks the build counters against the graphs they
 // describe: every candidate of an untruncated build is one edge and
 // either a new state, a repeat within its level or a committed state;
@@ -439,13 +536,14 @@ func TestBuildAllocBytesPerState(t *testing.T) {
 
 // BenchmarkBuildParallel times Build on two generated nets; forkjoin_7x4
 // is the net the exact_analysis perfbench workload explores every unit.
-// Besides the allocations it reports throughput and the live heap the
-// finished graph holds per state: nodes plus edges plus store, measured
-// once after a collection with the graph still reachable. The spill row
-// builds forkjoin_7x4 again with a 64 KiB budget, so most blocks of rows
-// go through the spill file; it also reports the bytes spilled per
-// state, and fails if nothing spilled, which would make it measure the
-// in-memory path.
+// Besides the allocations it reports throughput, the process CPU per
+// build (cpu-ms/op, which exceeds ms/op when shards run on other
+// cores), and the live heap the finished graph holds per state: nodes
+// plus edges plus store, measured once after a collection with the
+// graph still reachable. The spill row builds forkjoin_7x4 again with
+// a 64 KiB budget, so most blocks of rows go through the spill file;
+// it also reports the bytes spilled per state, and fails if nothing
+// spilled, which would make it measure the in-memory path.
 func BenchmarkBuildParallel(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -484,10 +582,15 @@ func BenchmarkBuildParallel(b *testing.B) {
 
 				b.ReportAllocs()
 				b.ResetTimer()
+				cpu0, cpuOK := processCPU()
 				for i := 0; i < b.N; i++ {
 					build().Close()
 				}
+				cpu1, _ := processCPU()
 				b.StopTimer()
+				if cpuOK {
+					b.ReportMetric(float64(cpu1-cpu0)/1e6/float64(b.N), "cpu-ms/op")
+				}
 				b.ReportMetric(states, "states")
 				b.ReportMetric(states*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 				b.ReportMetric(float64(testing.AllocsPerRun(1, func() { build().Close() }))/states, "allocs/state")

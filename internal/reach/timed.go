@@ -141,7 +141,7 @@ func constOf(d petri.Delay) (petri.Time, bool) {
 // actions are rejected.
 //
 // Like Build, the search is the sharded frontier of explore over
-// opt.Shards goroutines, so the graph is bit-identical to a serial FIFO
+// opt.Shards shards, so the graph is bit-identical to a serial FIFO
 // construction for any shard count — including after truncation: past
 // MaxStates no state is added, but the drain continues and later
 // levels still attach edges between committed states. ctx is checked

@@ -167,33 +167,34 @@ func (j *Job) seal(sse *broker, ev sseEvent) {
 	close(j.done)
 }
 
-// finish moves the job to a terminal state exactly once and wakes all
-// waiters. body/contentType are only meaningful for StateDone.
-func (j *Job) finish(state string, body []byte, contentType, errMsg string, events int64) bool {
+// complete moves the job to a terminal state exactly once; it returns
+// nil if the job already was terminal. body/contentType are only
+// meaningful for StateDone. The waiters sleep until the caller calls
+// the returned seal, so the server retires the job first: a waiter
+// never wakes to a finished job the store has not counted.
+func (j *Job) complete(state string, body []byte, contentType, errMsg string, events int64) (seal func()) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.terminalLocked() {
-		j.mu.Unlock()
-		return false
+		return nil
 	}
 	sse, ev := j.completeLocked(state, body, contentType, errMsg, events)
-	j.mu.Unlock()
-	j.seal(sse, ev)
-	return true
+	return func() { j.seal(sse, ev) }
 }
 
 // requestCancel cancels the job. A still-queued job goes terminal here
-// — its queue slot is skipped when the runner reaches it — while a
-// running job has its context canceled and the runner finalizes the
-// state asynchronously. The two branches and claimRunning all race
-// under j.mu, so a job can never be marked canceled after a runner
-// claimed it without its context being canceled too.
-func (j *Job) requestCancel() (terminal, signaled bool) {
+// — its queue slot is skipped when the runner reaches it — and the
+// returned seal wakes its waiters, as for complete; a running job has
+// its context canceled and the runner finalizes the state
+// asynchronously, and seal is nil. The two branches and claimRunning
+// all race under j.mu, so a job can never be marked canceled after a
+// runner claimed it without its context being canceled too.
+func (j *Job) requestCancel() (seal func()) {
 	j.mu.Lock()
 	if j.state == StateQueued {
 		sse, ev := j.completeLocked(StateCanceled, nil, "", "canceled before start", 0)
 		j.mu.Unlock()
-		j.seal(sse, ev)
-		return true, true
+		return func() { j.seal(sse, ev) }
 	}
 	var cancel context.CancelFunc
 	if j.state == StateRunning {
@@ -202,9 +203,8 @@ func (j *Job) requestCancel() (terminal, signaled bool) {
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
-		return false, true
 	}
-	return false, false
+	return nil
 }
 
 // viewLocked is View without the timestamps, with j.mu already held.

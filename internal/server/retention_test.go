@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sweepcli"
 )
@@ -270,6 +271,73 @@ func TestEvictOldestFinishedFirst(t *testing.T) {
 	}
 	if got, want := s.ctr.evicted.Load(), int64(7); got != want {
 		t.Fatalf("evicted counter %d, want %d", got, want)
+	}
+}
+
+// TestRetireBeforeWake: a job is in the store's finished list before
+// any waiter wakes, whether a cancel ends it while it is queued or the
+// runner finishes it under a ?wait=1 submit. Otherwise a client could
+// submit its next job before the last one entered retention, and
+// eviction would run out of finish order. The test holds the store's
+// lock while each job ends, so the job cannot be retired: no waiter
+// may wake until the lock is released.
+func TestRetireBeforeWake(t *testing.T) {
+	s := New(Config{RunJobs: 1, QueueDepth: 4})
+	started, release := blockingRun(s)
+	s.Start()
+	t.Cleanup(func() { // cancel a run a failed check left blocked
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		s.Drain(ctx)
+	})
+	blob, err := json.Marshal(testSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan *httptest.ResponseRecorder, 1)
+	go func() { waited <- serve(s, "POST", "/v1/jobs?wait=1", blob) }()
+	running := <-started
+	queued, _ := s.store.get(postSpec(t, s, testSpec(2), "", http.StatusAccepted).Header().Get("X-Pnut-Job"))
+
+	const grace = 100 * time.Millisecond // far longer than a wake-up takes
+	retiredBeforeWake := func(name string, j *Job, end func(), woke <-chan struct{}) {
+		t.Helper()
+		s.store.mu.Lock()
+		end()
+		select {
+		case <-woke:
+			s.store.mu.Unlock()
+			t.Errorf("%s: a waiter woke while the store could not retire job %s", name, j.ID)
+			return
+		case <-time.After(grace):
+		}
+		s.store.mu.Unlock()
+		<-woke
+		s.store.mu.Lock()
+		n := len(s.store.finished)
+		last := n > 0 && s.store.finished[n-1] == j
+		s.store.mu.Unlock()
+		if !last {
+			t.Fatalf("%s: job %s woke its waiters but is not the newest retired job", name, j.ID)
+		}
+	}
+
+	woke := make(chan struct{})
+	go func() {
+		<-queued.Done()
+		close(woke)
+	}()
+	retiredBeforeWake("queued cancel", queued, func() { go s.cancelJob(queued) }, woke)
+
+	var rec *httptest.ResponseRecorder
+	woke = make(chan struct{})
+	go func() {
+		rec = <-waited
+		close(woke)
+	}()
+	retiredBeforeWake("?wait=1", running, func() { close(release) }, woke)
+	if rec.Code != http.StatusOK || rec.Body.String() != "fake-body\n" {
+		t.Fatalf("?wait=1: status %d body %q", rec.Code, rec.Body.String())
 	}
 }
 

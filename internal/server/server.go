@@ -206,26 +206,30 @@ func (s *Server) runner() {
 		canceled := ctx.Err() != nil
 		cancel()
 		s.ctr.simEvents.Add(events)
+		var seal func()
 		switch {
 		case err == nil:
 			s.cache.Put(j.Key, contentType, body)
-			if j.finish(StateDone, body, contentType, "", events) {
+			if seal = j.complete(StateDone, body, contentType, "", events); seal != nil {
 				s.ctr.completed.Add(1)
 			}
 			s.logf("server: job %s done (%d events)", j.ID, events)
 		case canceled:
-			if j.finish(StateCanceled, nil, "", "canceled", events) {
+			if seal = j.complete(StateCanceled, nil, "", "canceled", events); seal != nil {
 				s.ctr.canceled.Add(1)
 			}
 			s.logf("server: job %s canceled", j.ID)
 		default:
-			if j.finish(StateFailed, nil, "", err.Error(), events) {
+			if seal = j.complete(StateFailed, nil, "", err.Error(), events); seal != nil {
 				s.ctr.failed.Add(1)
 			}
 			s.logf("server: job %s failed: %v", j.ID, err)
 		}
 		s.inflightRemove(j)
-		s.retire(j)
+		if seal != nil {
+			s.retire(j)
+			seal()
+		}
 	}
 }
 
@@ -473,13 +477,14 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 }
 
 // cancelJob cancels j and maintains the server-side bookkeeping for
-// the queued case (the runner path handles the running case).
+// the queued case (the runner path handles the running case), retiring
+// the job before its waiters wake.
 func (s *Server) cancelJob(j *Job) {
-	terminal, _ := j.requestCancel()
-	if terminal {
+	if seal := j.requestCancel(); seal != nil {
 		s.ctr.canceled.Add(1)
 		s.inflightRemove(j)
 		s.retire(j)
+		seal()
 	}
 }
 

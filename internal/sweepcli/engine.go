@@ -32,7 +32,8 @@ type EngineFlags struct {
 	MaxStates int
 	BoundCap  int
 	// Explore is the per-cell exploration parallelism of the exhaustive
-	// engines (0 = GOMAXPROCS). Like -parallel it never affects results.
+	// engines (0 = one shard, on the cell's own goroutine). Like
+	// -parallel it never affects results.
 	Explore int
 	// SpillBudget (0 = every row in memory) and SpillDir let the
 	// exhaustive engines' marking store spill to a temp file. Graphs are
@@ -62,7 +63,7 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 func (f *EngineFlags) RegisterState(fs *flag.FlagSet) {
 	fs.IntVar(&f.MaxStates, "max-states", 0, "state-space cap per exploration (0 = 100000)")
 	fs.IntVar(&f.BoundCap, "bound-cap", 0, "flag a place as potentially unbounded past this token count (0 = 4096)")
-	fs.IntVar(&f.Explore, "explore-shards", 0, "exploration goroutines per state-space build (0 = GOMAXPROCS,\nat most 256; never affects results)")
+	fs.IntVar(&f.Explore, "explore-shards", 0, "exploration shards per state-space build (0 = 1, on the calling\ngoroutine; at most 256; never affects results)")
 	fs.Var((*byteBudget)(&f.SpillBudget), "spill-budget", "budget in `bytes` for the state rows an exploration keeps in memory:\npast it the oldest blocks of rows spill to a temp file, while the\nnewest level stays in memory (0 = keep every row in memory, the\ndefault). Results are bit-identical for every budget")
 	fs.StringVar(&f.SpillDir, "spill-dir", "", "directory for the spill temp file (empty = the system temp dir)")
 }

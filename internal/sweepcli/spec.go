@@ -58,8 +58,9 @@ type Spec struct {
 	Engine string `json:"engine,omitempty" flag:"engine"`
 	// MaxStates/BoundCap bound the exhaustive engines' state space per
 	// grid point (0 = the reach defaults); ExploreShards is the reach
-	// engine's per-cell parallelism (never affects results). Bound and
-	// Ctl are the reach engine's metric selectors.
+	// engine's per-cell parallelism (0 = one shard, on the cell's own
+	// goroutine; never affects results). Bound and Ctl are the reach
+	// engine's metric selectors.
 	MaxStates     int      `json:"maxStates,omitempty" flag:"max-states"`
 	BoundCap      int      `json:"boundCap,omitempty" flag:"bound-cap"`
 	ExploreShards int      `json:"exploreShards,omitempty" flag:"explore-shards"`
